@@ -65,15 +65,6 @@ def am_inv(m: int, element: AmElement) -> AmElement:
     return (out_c, tuple(out_syls))
 
 
-def am_pow(m: int, element: AmElement, k: int) -> AmElement:
-    if k < 0:
-        element, k = am_inv(m, element), -k
-    out = AM_IDENTITY
-    for _ in range(k):
-        out = am_mul(m, out, element)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Conversions on a named edge (u, v) ~ (a, b), coefficient m = 2n+1.
 

@@ -44,7 +44,7 @@ from .dihedral import (
     dihedral_fix,
 )
 from .garside import engine
-from .oracle import is_fixed, member_of_parabolic, word_equal
+from .oracle import canonical_form, is_fixed, member_of_parabolic, word_equal
 from .presentation import (
     DefiningGraph,
     GraphError,
@@ -53,7 +53,7 @@ from .presentation import (
     sigma_data,
     spanning_paths,
 )
-from .report import Certificate, FixReport, normalize_class
+from .report import FixReport, certified_report, normalize_class
 from .words import (
     ArtinAutomorphism,
     Word,
@@ -129,7 +129,6 @@ def reduce_isogredience(
     aut: ArtinAutomorphism,
     search_len: int = 4,
     budget: int = 2000,
-    scan_budget: int = 0,
 ) -> Reduction | None:
     """Find the model case of an elliptic automorphism by bounded search.
 
@@ -149,7 +148,7 @@ def reduce_isogredience(
             break  # heights obstruct every candidate at once
         if aut.inversion and hg != 2 * height(h):
             continue
-        if word_equal(graph, g, mul(h, inv(psi(h))), scan_budget, slack=2).is_equal:
+        if word_equal(graph, g, mul(h, inv(psi(h))), 0, slack=2).is_equal:
             return Reduction("BASE_PSI", h)
 
     fixed_gens = [v for v in graph.vertices if aut.perm(v) == v]
@@ -161,7 +160,7 @@ def reduce_isogredience(
         if k == 0:
             continue
         for a in fixed_gens:
-            if word_equal(graph, u, power(((a, 1),), k), scan_budget, slack=2).is_equal:
+            if word_equal(graph, u, power(((a, 1),), k), 0, slack=2).is_equal:
                 if aut.inversion:
                     if k % 2 == 0:
                         continue
@@ -234,8 +233,6 @@ def ellipticity(
     z = twisted_z(aut)
     if not z:
         return "UNKNOWN", None  # finite order but no witness found
-    from .oracle import canonical_form
-
     zc = canonical_form(aut.graph, z)
     if len(support(zc)) >= 3:
         scan = min(budget, 60)
@@ -247,36 +244,6 @@ def ellipticity(
             }
             return "HYPERBOLIC", evidence
     return "UNKNOWN", None
-
-
-# ---------------------------------------------------------------------------
-# Report assembly.
-
-
-def _certified_report(
-    aut, fix_class, gens, exact, witness=(), notes=(), budget: int = 20_000
-) -> FixReport:
-    certs = []
-    confidence = "PROVEN"
-    gens = tuple(free_reduce(w) for w in gens)
-    for w in gens:
-        verdict = is_fixed(aut, w, budget)
-        certs.append(Certificate("fixed", w, verdict.status, verdict.method))
-        if verdict.is_unknown:
-            confidence = "BUDGET_LIMITED"
-        elif verdict.is_not_equal:
-            raise AssertionError(
-                f"refuted generator in a report: {format_word(w)}"
-            )
-    return FixReport(
-        fix_class,
-        gens,
-        exact,
-        free_reduce(witness),
-        tuple(certs),
-        confidence,
-        tuple(notes),
-    )
 
 
 def _conj_all(h: Word, words) -> tuple[Word, ...]:
@@ -320,7 +287,7 @@ def classify_elliptic(
         if not aut.inversion:
             if aut.perm.is_identity:
                 # the identity automorphism: everything is fixed
-                return _certified_report(
+                return certified_report(
                     aut,
                     normalize_class("ARTIN", 0, graph.vertices, has_edges=bool(graph.edge_list)),
                     tuple(((v, 1),) for v in graph.vertices),
@@ -336,7 +303,7 @@ def classify_elliptic(
                 sub.vertices,
                 has_edges=bool(sub.edge_list),
             )
-            return _certified_report(
+            return certified_report(
                 aut, fix_class, _conj_all(h, gens), True, witness=h,
                 notes=("fixed subgraph plus one Garside generator per transposed pair",),
             )
@@ -359,7 +326,7 @@ def classify_elliptic(
                 )
             gens.append(w)
         fix_class = normalize_class("FREE", len(gens))
-        return _certified_report(
+        return certified_report(
             aut, fix_class, _conj_all(h, gens), True, witness=h,
             notes=("one generator per even transposed pair",),
         )
@@ -371,7 +338,7 @@ def classify_elliptic(
             centre_gens, loops = _basis_power_case(graph, aut.perm, a)
             gens = [((a, 1),)] + centre_gens + loops
             fix_class = normalize_class("Z_CROSS_F", len(centre_gens) + len(loops))
-            return _certified_report(
+            return certified_report(
                 aut, fix_class, _conj_all(h, gens), True, witness=h,
                 notes=(
                     "cyclic factor on the fixed generator; free factor from the odd component graph",
@@ -380,7 +347,7 @@ def classify_elliptic(
         comp = gamma_a_odd(graph, aut.perm, a, style="inversion")
         loops = pi1_basis(comp)
         fix_class = normalize_class("FREE", len(loops))
-        return _certified_report(
+        return certified_report(
             aut, fix_class, _conj_all(h, loops), True, witness=h,
             notes=("loops of the odd component graph with alternating labels",),
         )
@@ -397,7 +364,7 @@ def classify_elliptic(
     )
     sub_report = dihedral_fix(m, restricted, names=tuple(sorted((s, t))))
     gens = _conj_all(h, sub_report.generators)
-    return _certified_report(
+    return certified_report(
         aut,
         sub_report.fix_class,
         gens,
@@ -482,7 +449,7 @@ def classify_hyperbolic(
     z = twisted_z(aut)
 
     if aut.inversion:
-        return _certified_report(
+        return certified_report(
             aut,
             normalize_class("Z"),
             (z,),
@@ -513,7 +480,7 @@ def classify_hyperbolic(
             eq_budget = min(budget, 600) if not h else min(budget, 60)
             if word_equal(graph, g_prime, target, eq_budget, slack=4).is_equal:
                 gens = _conj_all(h, (((b, 1),), ((a, 1), (b, 1), (c, 1))))
-                return _certified_report(
+                return certified_report(
                     aut,
                     normalize_class("DIHEDRAL_A4"),
                     gens,
@@ -550,7 +517,7 @@ def classify_hyperbolic(
             )
             if ok:
                 gens = (z, free_reduce(conj_zc))
-                return _certified_report(
+                return certified_report(
                     aut,
                     normalize_class("Z2"),
                     gens,
@@ -560,7 +527,7 @@ def classify_hyperbolic(
                         "fixed subgroup is the full centraliser of the twisted product",
                     ),
                 )
-            return _certified_report(
+            return certified_report(
                 aut,
                 normalize_class("Z"),
                 (z,),
@@ -573,7 +540,7 @@ def classify_hyperbolic(
     if hit is not None:
         h, a = hit
         gens = (z, free_reduce(mul(h, ((a, 1),), inv(h))))
-        return _certified_report(
+        return certified_report(
             aut,
             normalize_class("Z2"),
             gens,
@@ -581,7 +548,7 @@ def classify_hyperbolic(
             witness=h,
             notes=("axis contained in a standard tree",),
         )
-    return _certified_report(
+    return certified_report(
         aut,
         normalize_class("Z"),
         (z,),
@@ -717,7 +684,7 @@ def classify(
         notes = (f"centralizer case {case.tag}: {case.note}",)
         if case.tag in ("HYP_TRANSVERSE", "HYP_AXIS_IN_TREE", "HYP_PLAIN"):
             notes += ("case analysis is search-bounded; certificates are exact",)
-        return _certified_report(
+        return certified_report(
             aut, fix_class, case.generators, case.exact, witness=case.witness,
             notes=notes,
         )
@@ -726,7 +693,7 @@ def classify(
         return classify_elliptic(aut, data, search_len, budget)
     if state == "HYPERBOLIC":
         return classify_hyperbolic(aut, max(search_len - 1, 2), budget)
-    return _certified_report(
+    return certified_report(
         aut,
         normalize_class("Z"),
         (twisted_z(aut),),

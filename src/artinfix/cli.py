@@ -42,7 +42,6 @@ def _budget_header(args) -> dict:
     return {
         "budget": getattr(args, "budget", None),
         "radius": getattr(args, "radius", None),
-        "length_bound": getattr(args, "length_bound", None),
     }
 
 
@@ -292,7 +291,6 @@ def _add_common(p, graph=True):
         p.add_argument("--graph-text", help="inline graph, ';' separates lines")
     p.add_argument("--budget", type=int, default=100_000)
     p.add_argument("--radius", type=int, default=4)
-    p.add_argument("--length-bound", dest="length_bound", type=int, default=8)
     p.add_argument("--search-len", dest="search_len", type=int, default=4)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("--strict", action="store_true")

@@ -28,15 +28,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .garside import engine
-from .oracle import (
-    EqualityVerdict,
-    canonical_form,
-    member_of_parabolic,
-    word_equal,
-)
-from .presentation import DefiningGraph, GraphError
+from .oracle import canonical_form, member_of_parabolic, word_equal
+from .presentation import DefiningGraph, GraphError, graph_automorphisms
 from .words import (
     ArtinAutomorphism,
     Word,
@@ -44,11 +40,10 @@ from .words import (
     format_word,
     free_reduce,
     height,
+    inner,
     inv,
     mul,
 )
-
-S_ORDER = {0: "base", 1: "generator", 2: "edge"}
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,32 @@ def _vertex_key(graph: DefiningGraph, word: Word, S: tuple[str, ...]):
     return (S, _strip_local(graph, word, S))
 
 
+def _coset_contains(graph: DefiningGraph, S: tuple[str, ...], u: Word, budget: int) -> str:
+    """Whether u lies in A_S, that is g A_S = g u A_S: "EQUAL", "NOT_EQUAL" or "UNKNOWN".
+
+    A base coset compares u with 1 and a generator coset with the power of the
+    generator that height forces; an edge coset asks parabolic membership,
+    whose NOT_MEMBER is a sound abelianization obstruction.
+    """
+    if len(S) == 2:
+        status = member_of_parabolic(graph, u, set(S), budget).status
+        return {"MEMBER": "EQUAL", "NOT_MEMBER": "NOT_EQUAL"}.get(status, "UNKNOWN")
+    target = ()
+    if S:
+        k = height(u)
+        target = tuple((S[0], 1 if k > 0 else -1) for _ in range(abs(k)))
+    return word_equal(graph, u, target, budget).status
+
+
+def _adjacency(edges) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {}
+    for e in edges:
+        a, b = tuple(e)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
 @dataclass
 class DeligneBall:
     graph: DefiningGraph
@@ -138,32 +159,13 @@ class DeligneBall:
     dist: dict = field(default_factory=dict)  # vid -> radius layer
     edges: set = field(default_factory=set)  # frozenset pairs of vids
     degraded: bool = False
-    notes: list = field(default_factory=list)
-
-    def adjacency(self, vid: int) -> tuple[int, ...]:
-        out = []
-        for e in self.edges:
-            if vid in e:
-                (other,) = set(e) - {vid} if len(e) == 2 else {vid}
-                out.append(other)
-        return tuple(sorted(out))
-
-    def base_vertex(self) -> int:
-        return 0
-
-    def vertex(self, vid: int) -> DeligneVertex:
-        return self.vertices[vid]
 
     def type_vertices(self, k: int):
         return [i for i, v in enumerate(self.vertices) if v.vertex_type == k]
 
     def triangles(self):
         """Chains base < generator < edge realized inside the ball."""
-        adj: dict[int, set] = {}
-        for e in self.edges:
-            a, b = tuple(e)
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+        adj = _adjacency(self.edges)
         out = []
         for v0 in self.type_vertices(0):
             for v1 in adj.get(v0, ()):
@@ -185,20 +187,9 @@ class DeligneBall:
         for vid, vtx in enumerate(self.vertices):
             if vtx.S != S:
                 continue
-            if self._same_coset(vtx.rep, target, S, budget):
+            if _coset_contains(self.graph, S, mul(inv(vtx.rep), target), budget) == "EQUAL":
                 return vid
         return None
-
-    def _same_coset(self, u: Word, w: Word, S, budget) -> bool:
-        diff = mul(inv(u), w)
-        if not S:
-            verdict = word_equal(self.graph, diff, (), budget)
-            return verdict.is_equal
-        if len(S) == 1:
-            k = height(diff)
-            target = tuple((S[0], 1 if k > 0 else -1) for _ in range(abs(k)))
-            return word_equal(self.graph, diff, target, budget).is_equal
-        return bool(member_of_parabolic(self.graph, diff, set(S), budget))
 
     def to_json(self, displacements=None) -> dict:
         data = {
@@ -242,35 +233,26 @@ class DeligneBall:
         return "\n".join(lines)
 
 
-def _local_elements(graph: DefiningGraph, s: str, t: str, m: int, bound: int):
+@lru_cache(maxsize=None)
+def _local_elements(s: str, t: str, m: int, bound: int):
     """Nontrivial elements of the dihedral on (s, t) up to geodesic length bound."""
-    key = (graph, s, t, m, bound)
-    cached = _LOCAL_CACHE.get(key)
-    if cached is None:
-        eng = engine(m)
-        cached = tuple(
-            tuple(((s, t)[i], sg) for i, sg in word_idx)
-            for k, word_idx in eng.ball(bound).items()
-            if k != (0, ())
-        )
-        _LOCAL_CACHE[key] = cached
-    return cached
-
-
-_LOCAL_CACHE: dict = {}
+    return tuple(
+        tuple(((s, t)[i], sg) for i, sg in word_idx)
+        for k, word_idx in engine(m).ball(bound).items()
+        if k != (0, ())
+    )
 
 
 def build_ball(
     graph: DefiningGraph,
     radius: int,
     local_bound: int | None = None,
-    dedup_budget: int = 0,
 ) -> DeligneBall:
     """Breadth-first construction of the bounded ball around the base coset.
 
     Coset deduplication is representative-first: canonical stripped
     representatives collide by hash, and base-orbit candidates that share all
-    cheap invariants with an existing vertex get a small-budget oracle check.
+    cheap invariants with an existing vertex get a budget-0 oracle check.
     An UNKNOWN there creates a fresh vertex and marks the ball DEGRADED.
     """
     ball = DeligneBall(graph, radius, local_bound)
@@ -290,11 +272,11 @@ def build_ball(
         if not S:
             bucket_key = ((), height(rep), abelianization_vector(graph, rep))
             for vid in buckets.get(bucket_key, ()):
-                verdict = word_equal(graph, mul(inv(ball.vertices[vid].rep), rep), (), dedup_budget)
-                if verdict.is_equal:
+                status = _coset_contains(graph, (), mul(inv(ball.vertices[vid].rep), rep), 0)
+                if status == "EQUAL":
                     ball.index[key] = vid
                     return vid
-                if verdict.is_unknown:
+                if status == "UNKNOWN":
                     ball.degraded = True
         vid = len(ball.vertices)
         ball.vertices.append(DeligneVertex(rep, S))
@@ -349,7 +331,7 @@ def build_ball(
             else:
                 s, t = S
                 m = int(graph.coefficient(s, t))
-                for h in _local_elements(graph, s, t, m, local_len(m)):
+                for h in _local_elements(s, t, m, local_len(m)):
                     wh = mul(w, h)
                     connect(wh, (), cur)
                     connect(wh, (s,), cur)
@@ -393,22 +375,10 @@ def fixed_vertices(
         if ball.index.get(image_key) == vid:
             out.append(vid)
             continue
-        u = mul(inv(vtx.rep), image_rep)
-        if not vtx.S:
-            verdict = word_equal(graph, u, (), budget)
-        elif len(vtx.S) == 1:
-            k = height(u)
-            target = tuple((vtx.S[0], 1 if k > 0 else -1) for _ in range(abs(k)))
-            verdict = word_equal(graph, u, target, budget)
-        else:
-            res = member_of_parabolic(graph, u, set(vtx.S), budget)
-            verdict = EqualityVerdict(
-                {"MEMBER": "EQUAL", "NOT_MEMBER": "NOT_EQUAL"}.get(res.status, "UNKNOWN"),
-                "membership",
-            )
-        if verdict.is_equal:
+        status = _coset_contains(graph, vtx.S, mul(inv(vtx.rep), image_rep), budget)
+        if status == "EQUAL":
             out.append(vid)
-        elif verdict.is_unknown:
+        elif status == "UNKNOWN":
             lower_bound_only = True
     return out, lower_bound_only
 
@@ -422,8 +392,6 @@ def standard_tree_ball(
     existing ball.  The result lies in the essential part: no base-orbit
     vertex can be fixed, which the coset equation certifies via height.
     """
-    from .words import inner
-
     if isinstance(graph_or_ball, DeligneBall):
         ball = graph_or_ball
     else:
@@ -440,11 +408,7 @@ def displacement_field(g: Word, ball: DeligneBall, budget: int = 2000):
     None (OUT_OF_BALL); distances are graph distances in the ball, an upper
     bound for the true combinatorial metric.
     """
-    adj: dict[int, list[int]] = {}
-    for e in ball.edges:
-        a, b = tuple(e)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    adj = _adjacency(ball.edges)
 
     def bfs_distance(src: int, dst: int) -> int | None:
         if src == dst:
@@ -495,9 +459,6 @@ def compatibility_probe(
     Returns (passes, failures, unresolved); equality of image cosets is
     checked representative-first, then by the oracle.
     """
-    from .presentation import graph_automorphisms
-    from .words import ArtinAutomorphism as AA
-
     graph = ball.graph
     rng = random.Random(seed)
     perms = graph_automorphisms(graph)
@@ -505,7 +466,7 @@ def compatibility_probe(
     passes = failures = unresolved = 0
     for _ in range(samples):
         conj = rng.choice(type0) if type0 else ()
-        aut = AA(graph, conj, rng.choice(perms), rng.choice((False, True)))
+        aut = ArtinAutomorphism(graph, conj, rng.choice(perms), rng.choice((False, True)))
         g = rng.choice(type0) if type0 else ()
         vtx = ball.vertices[rng.randrange(len(ball.vertices))]
         lhs = aut_action(aut, DeligneVertex(free_reduce(mul(g, vtx.rep)), vtx.S))
@@ -518,21 +479,10 @@ def compatibility_probe(
         if lhs.rep == rhs.rep:
             passes += 1
             continue
-        diff = mul(inv(lhs.rep), rhs.rep)
-        if not lhs.S:
-            verdict = word_equal(graph, diff, (), budget)
-        elif len(lhs.S) == 1:
-            k = height(diff)
-            target = tuple((lhs.S[0], 1 if k > 0 else -1) for _ in range(abs(k)))
-            verdict = word_equal(graph, diff, target, budget)
-        else:
-            res = member_of_parabolic(graph, diff, set(lhs.S), budget)
-            verdict = EqualityVerdict(
-                "EQUAL" if res.status == "MEMBER" else "UNKNOWN", "membership"
-            )
-        if verdict.is_equal:
+        status = _coset_contains(graph, lhs.S, mul(inv(lhs.rep), rhs.rep), budget)
+        if status == "EQUAL":
             passes += 1
-        elif verdict.is_not_equal:
+        elif status == "NOT_EQUAL":
             failures += 1
         else:
             unresolved += 1

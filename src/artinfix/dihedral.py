@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from . import amalgam as am
 from . import hnn
 from .garside import engine
-from .oracle import is_fixed
 from .presentation import DefiningGraph, GraphError, validate_graph
-from .report import Certificate, FixReport, normalize_class
+from .report import FixReport, certified_report, normalize_class
 from .words import (
     ArtinAutomorphism,
     Word,
@@ -33,7 +32,6 @@ from .words import (
     height,
     inv,
     mul,
-    power,
 )
 
 DEFAULT_NAMES = ("a", "b")
@@ -139,16 +137,6 @@ def convert(m: int, word: Word, direction: str, names: tuple[str, str] = DEFAULT
     raise GraphError("PARSE", f"unknown direction {direction}")
 
 
-def britton_nf(n: int, word: Word) -> hnn.BSElement:
-    """Canonical pinch-free form of a word in the letters x, t."""
-    tokens = []
-    for name, sign in word:
-        if name not in ("x", "t"):
-            raise GraphError("UNKNOWN_GENERATOR", f"{name} not in x, t")
-        tokens.append((name, sign))
-    return hnn.bs_from_tokens(n, tokens)
-
-
 # ---------------------------------------------------------------------------
 # Outer classes in tree coordinates.
 
@@ -167,7 +155,7 @@ class BSAutClass:
         )
 
 
-def _split_aut(aut: ArtinAutomorphism, names):
+def _split_aut(aut: ArtinAutomorphism):
     """(g, sigma nontrivial?, inversion) for an edge automorphism."""
     sigma = not aut.perm.is_identity
     return aut.conj, sigma, aut.inversion
@@ -178,7 +166,7 @@ def outer_class(m: int, aut: ArtinAutomorphism, names: tuple[str, str] = DEFAULT
     if m % 2:
         raise GraphError("PARITY_MISMATCH", "outer classes live on the even tree")
     n = m // 2
-    g, sigma, inversion = _split_aut(aut, names)
+    g, sigma, inversion = _split_aut(aut)
     w = hnn.bs_from_artin(n, g, names)
     t = hnn.bs_from_tokens(n, [("t", 1)])
     if sigma and inversion:
@@ -207,7 +195,7 @@ def is_finite_order(m: int, aut: ArtinAutomorphism, names: tuple[str, str] = DEF
         if cls.tag == "ID":
             return hnn.bs_is_elliptic(n, cls.inner)
         return hnn.bs_is_elliptic(n, _squared_inner(n, cls))
-    g, sigma, inversion = _split_aut(aut, names)
+    g, sigma, inversion = _split_aut(aut)
     w = mul(g, delta_word(m, names)) if sigma else g
     we = am.am_from_artin(m, w, names)
     if not inversion:
@@ -297,10 +285,6 @@ def brute_fixed(
             out.append((len(word_idx), word_idx, word))
     out.sort()
     return [w for _, _, w in out]
-
-
-def element_ball_keys(m: int, length: int):
-    return engine(m).ball(length)
 
 
 def subgroup_ball(
@@ -508,31 +492,12 @@ def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names, search: int 
 # The fixed-subgroup classification.
 
 
-def _spell(m: int, w: Word, names) -> Word:
+def _spell(m: int, names, words) -> tuple[Word, ...]:
+    """Garside spellings of the words, the form in which reports carry them."""
     eng = engine(m)
-    return tuple((names[i], s) for i, s in eng.spell(eng.from_letters(_to_indices(w, names))))
-
-
-def _report(m, names, fix_class, gens, exact, aut, witness=(), notes=(), budget_pairs=()):
-    gens = tuple(_spell(m, w, names) for w in gens)
-    certs = []
-    confidence = "PROVEN"
-    for w in gens:
-        verdict = is_fixed(aut, w)
-        certs.append(Certificate("fixed", w, verdict.status, verdict.method))
-        if verdict.is_unknown:
-            confidence = "BUDGET_LIMITED"
-        elif verdict.is_not_equal:
-            raise AssertionError(f"unfixed generator reported: {w}")
-    return FixReport(
-        fix_class,
-        gens,
-        exact,
-        free_reduce(witness),
-        tuple(certs),
-        confidence,
-        tuple(notes),
-        tuple(budget_pairs),
+    return tuple(
+        tuple((names[i], s) for i, s in eng.spell(eng.from_letters(_to_indices(w, names))))
+        for w in words
     )
 
 
@@ -541,7 +506,7 @@ def _alpha_gamma_axis(n: int, k: int) -> hnn.BSElement:
     if n % 2 == 1 and k % 2 == 0:
         tokens = [("x", k // 2), ("t", 1), ("x", (n - 1) // 2), ("t", 1), ("x", (-k - n - 1) // 2)]
     elif n % 2 == 1:
-        tokens = [("x", (k + n) // 2), ("t", 1), ("x", (n - 1) // 2), ("t", 1), ("x", (-k - 1) // 2)]
+        tokens = [("x", (k - n) // 2), ("t", 1), ("x", (n - 1) // 2), ("t", 1), ("x", (-k - 1) // 2)]
     elif k % 2 == 0:
         tokens = [("x", k // 2), ("t", 1), ("x", n // 2), ("t", -1), ("x", (-k - n) // 2)]
     else:
@@ -566,7 +531,7 @@ def _fixed_vertex_search(n: int, tree: hnn.TreeAut):
     return None
 
 
-def _fix_even(m: int, aut: ArtinAutomorphism, names) -> FixReport:
+def _fix_even(m: int, aut: ArtinAutomorphism, names):
     n = m // 2
     cls = outer_class(m, aut, names)
     delta = delta_word(m, names)
@@ -575,36 +540,36 @@ def _fix_even(m: int, aut: ArtinAutomorphism, names) -> FixReport:
     if cls.tag == "ID":
         w = cls.inner
         if hnn.bs_is_central(n, w):
-            return _report(
-                m, names, normalize_class("ARTIN", 0, names, has_edges=True),
+            return (
+                normalize_class("ARTIN", 0, names, has_edges=True),
                 (((names[0], 1),), ((names[1], 1),)),
                 True,
-                aut,
-                notes=("inner by a central element: the identity automorphism",),
+                (),
+                ("inner by a central element: the identity automorphism",),
             )
         data = hnn.bs_elliptic_data(n, w)
         if data is not None:
             conj, _ = data
             h = hnn.bs_to_artin(n, conj, names)
             gen = free_reduce(mul(h, ((names[0], 1), (names[1], 1)), inv(h)))
-            return _report(m, names, normalize_class("Z"), (gen,), True, aut, witness=h)
+            return normalize_class("Z"), (gen,), True, h, ()
         axis, ell, proven = _axis_minimal(m, g, names)
-        return _report(
-            m, names, normalize_class("Z2"),
+        return (
+            normalize_class("Z2"),
             (axis, delta),
             proven,
-            aut,
-            notes=(f"axis element of translation length {ell}",),
+            (),
+            (f"axis element of translation length {ell}",),
         )
 
     finite = is_finite_order(m, aut, names)
 
     if cls.tag == "AB":
         if finite:
-            return _report(m, names, normalize_class("TRIVIAL"), (), True, aut)
+            return normalize_class("TRIVIAL"), (), True, (), ()
         z0 = mul(g, aut.graph_part(g))
         gen, exact, note = _refine_cyclic(m, aut, z0, names)
-        return _report(m, names, normalize_class("Z"), (gen,), exact, aut, notes=(note,))
+        return normalize_class("Z"), (gen,), exact, (), (note,)
 
     if cls.tag == "BG":
         if finite:
@@ -612,65 +577,70 @@ def _fix_even(m: int, aut: ArtinAutomorphism, names) -> FixReport:
             if key is not None:
                 h = hnn.bs_to_artin(n, hnn.vertex_rep(n, key), names)
                 gen = free_reduce(mul(h, ((names[0], 1), (names[1], 1)), inv(h)))
-                return _report(m, names, normalize_class("Z"), (gen,), True, aut, witness=h)
-            return _report(
-                m, names, normalize_class("Z"),
+                return normalize_class("Z"), (gen,), True, h, ()
+            return (
+                normalize_class("Z"),
                 (delta,),
                 True,
-                aut,
-                notes=("only an inverted edge midpoint is fixed",),
+                (),
+                ("only an inverted edge midpoint is fixed",),
             )
         h0 = _squared_inner(n, cls)
         h0_artin = hnn.bs_to_artin(n, h0, names)
         axis, ell, proven = _axis_minimal(m, h0_artin, names)
-        return _report(
-            m, names, normalize_class("Z2"),
+        return (
+            normalize_class("Z2"),
             (axis, delta),
             proven,
-            aut,
-            notes=(f"centraliser of the squared inner part, axis translation {ell}",),
+            (),
+            (f"centraliser of the squared inner part, axis translation {ell}",),
         )
 
     # AG
     if finite:
         key = _fixed_vertex_search(n, cls.tree(n))
-        assert key is not None, "orientation-preserving finite order fixes a vertex"
+        if key is None:
+            raise GraphError(
+                "NO_FIXED_VERTEX", "orientation-preserving finite order fixes a vertex"
+            )
         rep = hnn.vertex_rep(n, key)
         u = hnn.bs_mul(n, hnn.bs_inv(n, rep), cls.inner, hnn.bs_psi(n, "AG").apply(rep))
-        assert not u[1], "the reduced automorphism must fix the base vertex"
+        if u[1]:
+            raise GraphError(
+                "BASE_VERTEX_MOVED", "the reduced automorphism must fix the base vertex"
+            )
         k = u[0]
         s = _alpha_gamma_axis(n, k)
         h = hnn.bs_to_artin(n, rep, names)
         gen = free_reduce(mul(h, hnn.bs_to_artin(n, s, names), inv(h)))
-        return _report(
-            m, names, normalize_class("Z"),
+        return (
+            normalize_class("Z"),
             (gen,),
             True,
-            aut,
-            witness=h,
-            notes=(f"axis generator for residual power k={k}, n={n}",),
+            h,
+            (f"axis generator for residual power k={k}, n={n}",),
         )
     z0 = mul(g, aut.graph_part(g))
     gen, exact, note = _refine_cyclic(m, aut, z0, names)
-    return _report(m, names, normalize_class("Z"), (gen,), exact, aut, notes=(note,))
+    return normalize_class("Z"), (gen,), exact, (), (note,)
 
 
-def _fix_odd(m: int, aut: ArtinAutomorphism, names) -> FixReport:
+def _fix_odd(m: int, aut: ArtinAutomorphism, names):
     delta = delta_word(m, names)
     zc = center_word(m, names)
-    g, sigma, inversion = _split_aut(aut, names)
+    g, sigma, inversion = _split_aut(aut)
     w = mul(g, delta) if sigma else g
     notes = ("odd coefficient: the graph swap is inner by the Garside element",) if sigma else ()
 
     if not inversion:
         e = am.am_from_artin(m, w, names)
         if am.am_is_central(m, e):
-            return _report(
-                m, names, normalize_class("ARTIN", 0, names, has_edges=True),
+            return (
+                normalize_class("ARTIN", 0, names, has_edges=True),
                 (((names[0], 1),), ((names[1], 1),)),
                 True,
-                aut,
-                notes=notes + ("inner by a central element",),
+                (),
+                notes + ("inner by a central element",),
             )
         data = am.am_elliptic_data(m, e)
         if data is not None and data[1] != "z":
@@ -678,29 +648,33 @@ def _fix_odd(m: int, aut: ArtinAutomorphism, names) -> FixReport:
             h = am.am_to_artin(m, conj, names)
             core = delta if kind == "x" else ((names[0], 1), (names[1], 1))
             gen = free_reduce(mul(h, core, inv(h)))
-            return _report(m, names, normalize_class("Z"), (gen,), True, aut, witness=h, notes=notes)
+            return normalize_class("Z"), (gen,), True, h, notes
         axis, ell, proven = _axis_minimal(m, w, names)
-        return _report(
-            m, names, normalize_class("Z2"),
+        return (
+            normalize_class("Z2"),
             (axis, zc),
             proven,
-            aut,
-            notes=notes + (f"axis element of translation length {ell}",),
+            (),
+            notes + (f"axis element of translation length {ell}",),
         )
 
     iota_w = tuple((nm, -sg) for nm, sg in w)
     h0 = am.am_mul(m, am.am_from_artin(m, w, names), am.am_from_artin(m, iota_w, names))
     if am.am_is_elliptic(m, h0):
-        return _report(m, names, normalize_class("TRIVIAL"), (), True, aut, notes=notes)
+        return normalize_class("TRIVIAL"), (), True, (), notes
     z0 = mul(g, aut.graph_part(g))
     gen, exact, note = _refine_cyclic(m, aut, z0, names)
-    return _report(m, names, normalize_class("Z"), (gen,), exact, aut, notes=notes + (note,))
+    return normalize_class("Z"), (gen,), exact, (), notes + (note,)
 
 
 def dihedral_fix(
     m: int, aut: ArtinAutomorphism, names: tuple[str, str] = DEFAULT_NAMES
 ) -> FixReport:
-    """Isomorphism type and generators of the fixed subgroup, with certificates."""
-    if m % 2 == 0:
-        return _fix_even(m, aut, names)
-    return _fix_odd(m, aut, names)
+    """Isomorphism type and generators of the fixed subgroup, with certificates.
+
+    The case analysis (_fix_even, _fix_odd) returns (class, generators, exact,
+    witness, notes); the report carries the generators in Garside spelling.
+    """
+    fix = _fix_odd if m % 2 else _fix_even
+    fix_class, gens, exact, witness, notes = fix(m, aut, names)
+    return certified_report(aut, fix_class, _spell(m, names, gens), exact, witness, notes)

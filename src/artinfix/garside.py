@@ -175,7 +175,8 @@ class DihedralEngine:
     def positive_letters(self, a: Element) -> tuple[int, ...]:
         """Letter spelling of a positive element (power >= 0)."""
         p, fs = a
-        assert p >= 0
+        if p < 0:
+            raise ValueError("positive_letters needs a positive element")
         letters: list[int] = []
         for _ in range(p):
             letters.extend(self.simple_letters((0, self.m)))
@@ -200,10 +201,6 @@ class DihedralEngine:
             return right
         return left
 
-    def nf_length(self, a: Element) -> int:
-        """Length of the canonical spelling (an upper bound for the geodesic)."""
-        return len(self.spell(a))
-
     # -- balls -----------------------------------------------------------------
     def ball(self, radius: int) -> dict[Element, tuple]:
         """Elements of geodesic length <= radius, mapped to a geodesic word.
@@ -211,13 +208,6 @@ class DihedralEngine:
         The returned dict is cached and shared; treat it as read only.
         """
         return _ball_dict(self.m, radius)
-
-    def geodesic_length(self, a: Element, cap: int = 40) -> int:
-        """Geodesic length by breadth-first search (desk-scale elements)."""
-        for radius in range(cap + 1):
-            if a in self.ball(radius):
-                return radius
-        raise ValueError("element outside the searched ball")
 
 
 @lru_cache(maxsize=None)

@@ -178,7 +178,7 @@ def bs_elliptic_data(n: int, element: BSElement):
 
 @dataclass(frozen=True)
 class BSAut:
-    """Automorphism given by generator images, with composition and action."""
+    """Automorphism given by generator images, with its action."""
 
     n: int
     x_img: BSElement
@@ -190,13 +190,6 @@ class BSAut:
             img = self.x_img if kind == "x" else self.t_img
             out = bs_mul(self.n, out, bs_pow(self.n, img, val))
         return out
-
-    def compose(self, other: "BSAut") -> "BSAut":
-        return BSAut(self.n, self.apply(other.x_img), self.apply(other.t_img))
-
-
-def bs_identity_aut(n: int) -> BSAut:
-    return BSAut(n, (1, ()), (0, ((1, 0),)))
 
 
 def bs_psi(n: int, tag: str) -> BSAut:

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .garside import engine
 from .presentation import DefiningGraph, INFINITY
-from .words import Word, abelianization_vector, free_reduce, height, support
+from .words import Word, abelianization_vector, free_reduce, height, odd_components, support
 
 DEFAULT_BUDGET = 100_000
 
@@ -329,8 +329,6 @@ def member_of_parabolic(
     word = canonical_form(graph, free_reduce(word))
     if support(word) <= gens:
         return MembershipResult("MEMBER", word)
-    from .words import odd_components
-
     comps = odd_components(graph)
     vec = abelianization_vector(graph, word)
     for i, comp in enumerate(comps):

@@ -221,7 +221,8 @@ def graph_automorphisms(g: DefiningGraph) -> list[GraphAutomorphism]:
     extend(0)
     results.sort()
     auts = [GraphAutomorphism(g, imgs) for imgs in results]
-    assert auts[0].is_identity
+    if not auts[0].is_identity:
+        raise GraphError("AUTOMORPHISM_ORDER", "the identity must sort first")
     return auts
 
 

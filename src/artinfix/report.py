@@ -6,7 +6,9 @@ trivial, Z, Z^2, a finitely generated free group, Z x free, the dihedral
 group <x, y | xyxy = yxyx>, an Artin group over a subgraph, or the free
 product of such an Artin group with a free group.  normalize_class folds
 degenerate combinations (an empty subgraph, a rank-one free factor) onto the
-smaller vocabulary so reports always carry the tightest tag.
+smaller vocabulary so reports always carry the tightest tag.  Every report,
+from the two-generator machinery and the classifier alike, is assembled by
+certified_report.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .words import Word, format_word
+from .oracle import is_fixed
+from .words import Word, format_word, free_reduce
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,6 @@ class FixReport:
     certificates: tuple[Certificate, ...]
     confidence: str  # "PROVEN" | "BUDGET_LIMITED"
     notes: tuple[str, ...] = ()
-    budgets: tuple[tuple[str, int], ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -111,7 +113,6 @@ class FixReport:
             "certificates": [c.to_json() for c in self.certificates],
             "confidence": self.confidence,
             "notes": list(self.notes),
-            "budgets": dict(self.budgets),
         }
 
     def to_text(self) -> str:
@@ -130,3 +131,26 @@ class FixReport:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
+
+
+def certified_report(aut, fix_class, gens, exact, witness=(), notes=()) -> FixReport:
+    """The report for aut with an oracle fixedness certificate per generator.
+
+    Each certificate gets a budget of 20,000 search expansions; on a
+    two-generator group the check is exact whatever the budget.  An UNKNOWN
+    verdict leaves the report BUDGET_LIMITED; a NOT_EQUAL verdict means a case
+    analysis produced a wrong generator, which is a bug.
+    """
+    certs = []
+    confidence = "PROVEN"
+    gens = tuple(free_reduce(w) for w in gens)
+    for w in gens:
+        verdict = is_fixed(aut, w, 20_000)
+        certs.append(Certificate("fixed", w, verdict.status, verdict.method))
+        if verdict.is_unknown:
+            confidence = "BUDGET_LIMITED"
+        elif verdict.is_not_equal:
+            raise AssertionError(f"unfixed generator reported: {format_word(w)}")
+    return FixReport(
+        fix_class, gens, exact, free_reduce(witness), tuple(certs), confidence, tuple(notes)
+    )

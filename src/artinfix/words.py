@@ -64,10 +64,6 @@ def power(word: Word, k: int) -> Word:
     return out
 
 
-def generator(name: str, sign: int = 1) -> Word:
-    return ((name, sign),)
-
-
 def height(word: Word) -> int:
     """Exponent sum; the homomorphism sending every generator to 1."""
     return sum(sign for _, sign in word)
@@ -209,13 +205,6 @@ def identity_aut(graph: DefiningGraph) -> ArtinAutomorphism:
 
 def inner(graph: DefiningGraph, word: Word) -> ArtinAutomorphism:
     return ArtinAutomorphism(graph, word, identity_automorphism(graph), False)
-
-
-def graph_aut(graph: DefiningGraph, mapping: dict[str, str]) -> ArtinAutomorphism:
-    images = tuple(mapping.get(v, v) for v in graph.vertices)
-    return ArtinAutomorphism(
-        graph, EMPTY, GraphAutomorphism(graph, images), False
-    )
 
 
 def global_inversion(graph: DefiningGraph) -> ArtinAutomorphism:

@@ -158,7 +158,13 @@ def test_fix_identity_like():
 
 def test_all_reports_certified():
     for m in (3, 4, 5, 6):
-        for dsl in ("graph a>b b>a", "invert", "conj a", "conj a ; graph a>b b>a ; invert"):
+        for dsl in (
+            "graph a>b b>a",
+            "invert",
+            "conj a",
+            "conj a ; graph a>b b>a ; invert",
+            "conj a b ; graph a>b b>a ; invert",
+        ):
             rep = dihedral_fix(m, AUT(m, dsl))
             assert rep.confidence == "PROVEN"
             for cert in rep.certificates:
@@ -227,6 +233,15 @@ def test_brute_fixed_examples():
     rep = dihedral_fix(4, aut)
     expected = subgroup_ball(4, rep.generators, 6)
     assert {nf_key(4, w) for w in fixed} == expected
+
+
+def test_alpha_gamma_axis_odd_residual_power():
+    # n = 3 and k odd: the axis generator sits on the finite-order AG branch
+    aut = AUT(6, "conj a b ; graph a>b b>a ; invert")
+    rep = dihedral_fix(6, aut)
+    assert rep.fix_class.tag == "Z" and rep.confidence == "PROVEN"
+    fixed = {nf_key(6, w) for w in brute_fixed(6, aut, 6)}
+    assert fixed == subgroup_ball(6, rep.generators, 6)
 
 
 def test_translation_lengths():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from artinfix.garside import IDENTITY, engine
 
 
@@ -92,3 +94,9 @@ def test_power_and_inverse():
     x = eng.from_letters([(0, 1), (1, 1)])
     assert eng.pow(x, 3) == eng.mul(eng.mul(x, x), x)
     assert eng.pow(x, -2) == eng.inv(eng.mul(x, x))
+
+
+def test_positive_letters_rejects_negative_power():
+    eng = engine(3)
+    with pytest.raises(ValueError):
+        eng.positive_letters(eng.from_letters([(0, -1)]))
