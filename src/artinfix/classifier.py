@@ -128,7 +128,6 @@ class Reduction:
 def reduce_isogredience(
     aut: ArtinAutomorphism,
     search_len: int = 4,
-    budget: int = 2000,
 ) -> Reduction | None:
     """Find the model case of an elliptic automorphism by bounded search.
 
@@ -151,83 +150,74 @@ def reduce_isogredience(
         if word_equal(graph, g, mul(h, inv(psi(h))), 0, slack=2).is_equal:
             return Reduction("BASE_PSI", h)
 
-    fixed_gens = [v for v in graph.vertices if aut.perm(v) == v]
-
     # case 2: fixed generator vertex
-    for h in _candidate_words(graph, search_len):
-        u = mul(inv(h), g, psi(h))
-        k = height(u)
-        if k == 0:
-            continue
-        for a in fixed_gens:
-            if word_equal(graph, u, power(((a, 1),), k), 0, slack=2).is_equal:
-                if aut.inversion:
-                    if k % 2 == 0:
-                        continue
-                    q = (k - 1) // 2
-                    h = mul(h, power(((a, 1),), q))
-                    k = 1
-                return Reduction("GENERATOR_POWER", h, generator=a, exponent=k)
+    hit = _conjugate_into_cyclic(psi, g, search_len, 0)
+    if hit is not None:
+        h, a, k = hit
+        if aut.inversion:
+            h = mul(h, power(((a, 1),), (k - 1) // 2))
+            k = 1
+        return Reduction("GENERATOR_POWER", h, generator=a, exponent=k)
 
     # case 3: single fixed edge vertex
-    pairs = [
-        (s, t)
-        for s, t, _ in graph.finite_edges()
-        if {aut.perm(s), aut.perm(t)} == {s, t}
-    ]
-    for h in _candidate_words(graph, search_len):
-        u = mul(inv(h), g, psi(h))
-        for s, t in pairs:
-            mem_budget = min(budget, 80) if not h else 0
-            res = member_of_parabolic(graph, u, {s, t}, mem_budget, slack=4)
-            if res.status == "MEMBER":
-                return Reduction(
-                    "DIHEDRAL_VERTEX", h, edge=(s, t), local_word=res.rewritten
-                )
+    hit = _conjugate_into_dihedral(psi, g, search_len, 80)
+    if hit is not None:
+        h, edge, local = hit
+        return Reduction("DIHEDRAL_VERTEX", h, edge=edge, local_word=local)
     return None
 
 
-def _conjugate_into_cyclic(graph, z, search_len, budget):
-    """(h, a, k) with z = h a^k h^-1 for a standard generator, or None.
+def _conjugate_into_cyclic(psi: ArtinAutomorphism, z: Word, search_len: int, budget: int):
+    """(h, a, k) with h^-1 z psi(h) = a^k for a generator a that psi fixes, or None.
 
-    Only the trivial-witness test gets search budget; longer witnesses are
-    decided by the canonical form alone.
+    Only the trivial witness gets ``budget`` oracle expansions; longer
+    witnesses are decided by the canonical form alone.  With the inversion
+    in psi only odd k can be conjugated to k = 1, so even k is skipped.
     """
+    graph = psi.graph
+    fixed_gens = [a for a in graph.vertices if psi.perm(a) == a]
     for h in _candidate_words(graph, search_len):
-        u = mul(inv(h), z, h)
+        u = mul(inv(h), z, psi(h))
         k = height(u)
-        if k == 0:
+        if k == 0 or (psi.inversion and k % 2 == 0):
             continue
         eq_budget = budget if not h else 0
-        for a in graph.vertices:
+        for a in fixed_gens:
             if word_equal(graph, u, power(((a, 1),), k), eq_budget, slack=2).is_equal:
                 return h, a, k
     return None
 
 
-def _conjugate_into_dihedral(graph, z, search_len, budget):
-    """(h, (s, t), word) with h^-1 z h in a finite-edge parabolic, or None."""
+def _conjugate_into_dihedral(psi: ArtinAutomorphism, z: Word, search_len: int, budget: int):
+    """(h, (s, t), word) with h^-1 z psi(h) in a psi-stable finite-edge parabolic, or None.
+
+    The budget goes to the trivial witness only, as in _conjugate_into_cyclic.
+    """
+    graph = psi.graph
+    pairs = [
+        (s, t)
+        for s, t, _ in graph.finite_edges()
+        if {psi.perm(s), psi.perm(t)} == {s, t}
+    ]
     for h in _candidate_words(graph, search_len):
-        u = mul(inv(h), z, h)
+        u = mul(inv(h), z, psi(h))
         mem_budget = budget if not h else 0
-        for s, t, _ in graph.finite_edges():
+        for s, t in pairs:
             res = member_of_parabolic(graph, u, {s, t}, mem_budget, slack=4)
             if res.status == "MEMBER":
                 return h, (s, t), res.rewritten
     return None
 
 
-def ellipticity(
-    aut: ArtinAutomorphism, search_len: int = 4, budget: int = 2000
-):
+def ellipticity(aut: ArtinAutomorphism, search_len: int = 4):
     """("ELLIPTIC", reduction) or ("HYPERBOLIC", evidence) or ("UNKNOWN", None).
 
     ELLIPTIC is certified by the reduction witness.  HYPERBOLIC is evidence
     based: the twisted product must span at least three generators with no
-    conjugation into a cyclic or dihedral parabolic found within the search
-    bounds; this is sound for the classes handled downstream.
+    conjugation into a cyclic or dihedral parabolic found by words of length
+    below search_len; this is sound for the classes handled downstream.
     """
-    reduction = reduce_isogredience(aut, search_len, budget)
+    reduction = reduce_isogredience(aut, search_len)
     if reduction is not None:
         return "ELLIPTIC", reduction
     z = twisted_z(aut)
@@ -235,9 +225,9 @@ def ellipticity(
         return "UNKNOWN", None  # finite order but no witness found
     zc = canonical_form(aut.graph, z)
     if len(support(zc)) >= 3:
-        scan = min(budget, 60)
-        if _conjugate_into_cyclic(aut.graph, z, search_len - 1, scan) is None and \
-           _conjugate_into_dihedral(aut.graph, z, search_len - 1, scan) is None:
+        plain = inner(aut.graph, ())
+        if _conjugate_into_cyclic(plain, z, search_len - 1, 60) is None and \
+           _conjugate_into_dihedral(plain, z, search_len - 1, 60) is None:
             evidence = {
                 "support": sorted(support(zc)),
                 "no_parabolic_conjugation_within": search_len - 1,
@@ -273,11 +263,10 @@ def classify_elliptic(
     aut: ArtinAutomorphism,
     reduction: Reduction | None = None,
     search_len: int = 4,
-    budget: int = 2000,
 ) -> FixReport:
     graph = aut.graph
     if reduction is None:
-        reduction = reduce_isogredience(aut, search_len, budget)
+        reduction = reduce_isogredience(aut, search_len)
     if reduction is None:
         raise GraphError("NOT_ELLIPTIC", "no fixed vertex found within the search bound")
     h = reduction.witness
@@ -390,7 +379,7 @@ def _hex_centre(tri) -> Word:
     return tuple((x, 1) for x in (a, b, c, a, b, c))
 
 
-def _exotic_conjugation(graph, z, search_len, budget):
+def _exotic_conjugation(graph, z, search_len):
     """(h, triangle, k) with z = h (abcabc)^k h^-1, or None; k is from height."""
     hz = height(z)
     if hz % 6 != 0:
@@ -401,7 +390,7 @@ def _exotic_conjugation(graph, z, search_len, budget):
         if k == 0:
             continue
         for h in _candidate_words(graph, search_len):
-            eq_budget = min(budget, 400) if not h else 0
+            eq_budget = 400 if not h else 0
             if word_equal(graph, z, mul(h, power(zc, k), inv(h)), eq_budget, slack=4).is_equal:
                 return h, tri, k
     return None
@@ -439,12 +428,7 @@ def _sigma_pattern(aut, tri):
     return None
 
 
-def classify_hyperbolic(
-    aut: ArtinAutomorphism,
-    search_len: int = 3,
-    budget: int = 2000,
-    exotic_length: int = 6,
-) -> FixReport:
+def classify_hyperbolic(aut: ArtinAutomorphism, search_len: int = 3) -> FixReport:
     graph = aut.graph
     z = twisted_z(aut)
 
@@ -477,7 +461,7 @@ def classify_hyperbolic(
                 continue
             q = hq // 6
             target = mul(power(zc, q), correction)
-            eq_budget = min(budget, 600) if not h else min(budget, 60)
+            eq_budget = 600 if not h else 60
             if word_equal(graph, g_prime, target, eq_budget, slack=4).is_equal:
                 gens = _conj_all(h, (((b, 1),), ((a, 1), (b, 1), (c, 1))))
                 return certified_report(
@@ -499,7 +483,7 @@ def classify_hyperbolic(
         zc = _hex_centre(tri)
         for h in _candidate_words(graph, max(search_len - 1, 1)):
             conj_zc = mul(h, zc, inv(h))
-            comm_budget = min(budget, 120) if not h else 0
+            comm_budget = 120 if not h else 0
             if not word_equal(
                 graph, mul(z, conj_zc), mul(conj_zc, z), comm_budget, slack=2
             ).is_equal:
@@ -512,8 +496,8 @@ def classify_hyperbolic(
             g_prime = free_reduce(mul(inv(h), aut.conj, aut.graph_part(h)))
             probe = mul(g_prime, correction)
             ok = any(
-                word_equal(graph, probe, cand, min(budget, 60), slack=2).is_equal
-                for cand in _exotic_elements(graph, tri, exotic_length)
+                word_equal(graph, probe, cand, 60, slack=2).is_equal
+                for cand in _exotic_elements(graph, tri, 6)
             )
             if ok:
                 gens = (z, free_reduce(conj_zc))
@@ -536,7 +520,7 @@ def classify_hyperbolic(
             )
 
     # axis inside a standard tree: z commutes with a conjugated generator
-    hit = _commuting_generator(graph, z, max(search_len - 1, 1), budget)
+    hit = _commuting_generator(graph, z, max(search_len - 1, 1))
     if hit is not None:
         h, a = hit
         gens = (z, free_reduce(mul(h, ((a, 1),), inv(h))))
@@ -557,9 +541,9 @@ def classify_hyperbolic(
     )
 
 
-def _commuting_generator(graph, z, search_len, budget):
+def _commuting_generator(graph, z, search_len):
     for h in _candidate_words(graph, search_len):
-        eq_budget = min(budget, 40) if not h else 0
+        eq_budget = 40 if not h else 0
         for a in graph.vertices:
             w = mul(h, ((a, 1),), inv(h))
             if word_equal(graph, mul(z, w), mul(w, z), eq_budget, slack=2).is_equal:
@@ -582,15 +566,13 @@ class CentralizerCase:
     edge: tuple = ()
 
 
-def centralizer_case(
-    graph: DefiningGraph, g: Word, search_len: int = 3, budget: int = 2000
-) -> CentralizerCase:
+def centralizer_case(graph: DefiningGraph, g: Word, search_len: int = 3) -> CentralizerCase:
     """Case analysis of C(g) following the shape of the fixed-set geometry."""
     g = free_reduce(g)
     if not g:
         raise GraphError("TRIVIAL_ELEMENT", "the identity centralizes everything")
 
-    exotic = _exotic_conjugation(graph, g, search_len, budget)
+    exotic = _exotic_conjugation(graph, g, search_len)
     if exotic is not None:
         h, tri, _ = exotic
         a, b, c = tri
@@ -600,17 +582,17 @@ def centralizer_case(
             f"exotic dihedral centraliser over the triangle {a}{b}{c}",
         )
 
-    hit = _conjugate_into_cyclic(graph, g, search_len, min(budget, 60))
+    plain = inner(graph, ())
+    hit = _conjugate_into_cyclic(plain, g, search_len, 60)
     if hit is not None:
         h, a, _ = hit
-        sigma_id = inner(graph, ()).perm
-        centre_gens, loops = _basis_power_case(graph, sigma_id, a)
+        centre_gens, loops = _basis_power_case(graph, plain.perm, a)
         gens = _conj_all(h, [((a, 1),)] + centre_gens + loops)
         return CentralizerCase(
             "TYPE1_TREE", gens, True, h, "product of the generator with a free group"
         )
 
-    hit = _conjugate_into_dihedral(graph, g, search_len, min(budget, 80))
+    hit = _conjugate_into_dihedral(plain, g, search_len, 80)
     if hit is not None:
         h, (s, t), local = hit
         m = int(graph.coefficient(s, t))
@@ -624,7 +606,7 @@ def centralizer_case(
         zc = _hex_centre(tri)
         for h in _candidate_words(graph, max(search_len - 1, 1)):
             conj_zc = mul(h, zc, inv(h))
-            comm_budget = min(budget, 200) if not h else 0
+            comm_budget = 200 if not h else 0
             if word_equal(graph, mul(g, conj_zc), mul(conj_zc, g), comm_budget, slack=4).is_equal:
                 return CentralizerCase(
                     "HYP_TRANSVERSE",
@@ -634,7 +616,7 @@ def centralizer_case(
                     "commutes with an exotic centre",
                 )
 
-    hit = _commuting_generator(graph, g, search_len, budget)
+    hit = _commuting_generator(graph, g, search_len)
     if hit is not None:
         h, a = hit
         return CentralizerCase(
@@ -651,9 +633,7 @@ def centralizer_case(
 # Top level.
 
 
-def classify(
-    aut: ArtinAutomorphism, search_len: int = 4, budget: int = 2000
-) -> FixReport:
+def classify(aut: ArtinAutomorphism, search_len: int = 4) -> FixReport:
     """Full pipeline: ellipticity decision, case dispatch, certified report."""
     graph = aut.graph
     if len(graph.vertices) == 2 and graph.edge_list:
@@ -663,7 +643,7 @@ def classify(
         g = free_reduce(aut.conj)
         if not g:
             return classify_elliptic(aut, Reduction("BASE_PSI", ()))
-        case = centralizer_case(graph, g, max(search_len - 1, 2), budget)
+        case = centralizer_case(graph, g, max(search_len - 1, 2))
         if case.tag == "TYPE1_TREE":
             fix_class = normalize_class("Z_CROSS_F", len(case.generators) - 1)
         elif case.tag == "TYPE2_VERTEX":
@@ -688,11 +668,11 @@ def classify(
             aut, fix_class, case.generators, case.exact, witness=case.witness,
             notes=notes,
         )
-    state, data = ellipticity(aut, search_len, budget)
+    state, data = ellipticity(aut, search_len)
     if state == "ELLIPTIC":
-        return classify_elliptic(aut, data, search_len, budget)
+        return classify_elliptic(aut, data, search_len)
     if state == "HYPERBOLIC":
-        return classify_hyperbolic(aut, max(search_len - 1, 2), budget)
+        return classify_hyperbolic(aut, max(search_len - 1, 2))
     return certified_report(
         aut,
         normalize_class("Z"),

@@ -3,11 +3,13 @@ cli: command-line front door.
 
 Subcommands mirror the library surface: graph validation and automorphism
 enumeration, the full fixed-subgroup classifier, the dihedral backends, the
-coset-complex ball, and the raw word oracle.  Every run prints the budgets it
-ran with, so identical invocations reproduce identical output byte for byte.
+coset-complex ball, and the raw word oracle.  Each subcommand accepts only
+the options its operations read.  Every run prints the numeric knobs it
+accepts (--budget, --radius, --search-len, --local-bound) with their values,
+so identical invocations reproduce identical output byte for byte.
 
-Exit codes: 0 success, 1 domain error, 2 when --strict is set and the result
-is only BUDGET_LIMITED.
+Exit codes: 0 success, 1 domain or usage error, 2 when --strict is set and
+the result is only BUDGET_LIMITED.
 """
 
 from __future__ import annotations
@@ -29,28 +31,47 @@ from .presentation import (
 from .words import format_word, parse_automorphism, parse_word
 
 
+# Numeric options that bound a computation; each command echoes those it accepts.
+_KNOBS = ("budget", "radius", "search_len", "local_bound")
+
+
 def _graph_from_args(args):
-    if getattr(args, "graph", None):
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
-    if getattr(args, "graph_text", None):
+    if args.graph:
+        try:
+            with open(args.graph, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphError("GRAPH_FILE", f"cannot read {args.graph}: {exc}") from exc
+        return parse_graph(text)
+    if args.graph_text:
         return parse_graph(args.graph_text.replace(";", "\n"))
     raise GraphError("PARSE", "no graph given; use --graph FILE or --graph-text")
 
 
+def _word_on(graph, text: str):
+    """A word read from the command line, each letter a vertex of the graph."""
+    word = parse_word(text)
+    for name, _ in word:
+        if name not in graph.vertices:
+            raise GraphError("UNKNOWN_GENERATOR", f"{name} not a vertex")
+    return word
+
+
 def _budget_header(args) -> dict:
-    return {
-        "budget": getattr(args, "budget", None),
-        "radius": getattr(args, "radius", None),
-    }
+    return {k: getattr(args, k) for k in _KNOBS if hasattr(args, k)}
 
 
-def _emit(args, payload: dict, text_lines) -> None:
+def _emit(args, payload: dict, text_lines, label="budgets   ") -> None:
+    """Print the payload as JSON or the lines as text, each with the budget
+    header; label=None leaves the header out of the text."""
     if args.format == "json":
+        payload["budgets"] = _budget_header(args)
         print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    for line in text_lines:
+        print(line)
+    if label:
+        print(f"{label}{_budget_header(args)}")
 
 
 def _finish(args, confidence: str) -> int:
@@ -64,11 +85,9 @@ def cmd_validate(args) -> int:
     payload = {
         "vertices": list(graph.vertices),
         "edges": [[u, v, m] for u, v, m in graph.edge_list],
-        "budgets": _budget_header(args),
     }
     lines = [f"vertices  {' '.join(graph.vertices)}"]
     lines += [f"edge      {u} {v} {m}" for u, v, m in graph.edge_list]
-    lines.append(f"budgets   {_budget_header(args)}")
     _emit(args, payload, lines)
     return 0
 
@@ -81,53 +100,36 @@ def cmd_autgen(args) -> int:
         "automorphisms": [
             {v: s(v) for v in graph.vertices} for s in auts
         ],
-        "budgets": _budget_header(args),
     }
     lines = [f"count {len(auts)}"]
     for s in auts:
         lines.append(" ".join(f"{v}>{s(v)}" for v in graph.vertices))
-    lines.append(f"budgets   {_budget_header(args)}")
     _emit(args, payload, lines)
     return 0
 
 
-def _report_payload(args, rep) -> dict:
-    payload = rep.to_json()
-    payload["budgets"] = _budget_header(args)
-    return payload
+def _classified(args):
+    aut = normalize_aut(_graph_from_args(args), args.aut)
+    return aut, classify(aut, search_len=args.search_len)
 
 
 def cmd_classify(args) -> int:
-    graph = _graph_from_args(args)
-    aut = normalize_aut(graph, args.aut)
-    rep = classify(aut, search_len=args.search_len, budget=args.budget)
-    _emit(
-        args,
-        _report_payload(args, rep),
-        [rep.to_text(), f"budgets     {_budget_header(args)}"],
-    )
+    _, rep = _classified(args)
+    _emit(args, rep.to_json(), [rep.to_text()], "budgets     ")
     return _finish(args, rep.confidence)
 
 
 def cmd_fix_gens(args) -> int:
-    graph = _graph_from_args(args)
-    aut = normalize_aut(graph, args.aut)
-    rep = classify(aut, search_len=args.search_len, budget=args.budget)
-    payload = {
-        "generators": [format_word(w) for w in rep.generators],
-        "class": rep.fix_class.describe(),
-        "budgets": _budget_header(args),
-    }
-    _emit(args, payload, [format_word(w) for w in rep.generators])
+    _, rep = _classified(args)
+    gens = [format_word(w) for w in rep.generators]
+    _emit(args, {"generators": gens, "class": rep.fix_class.describe()}, gens, None)
     return _finish(args, rep.confidence)
 
 
 def cmd_verify(args) -> int:
-    graph = _graph_from_args(args)
-    aut = normalize_aut(graph, args.aut)
-    rep = classify(aut, search_len=args.search_len, budget=args.budget)
+    aut, rep = _classified(args)
     passed, checks = verify_report(aut, rep, budget=args.budget)
-    payload = _report_payload(args, rep)
+    payload = rep.to_json()
     payload["verification"] = [
         {"check": name, "ok": ok, "detail": detail} for name, ok, detail in checks
     ]
@@ -136,8 +138,7 @@ def cmd_verify(args) -> int:
     for name, ok, detail in checks:
         lines.append(f"  {'PASS' if ok else 'FAIL'} {name} {detail}")
     lines.append(f"verified    {passed}")
-    lines.append(f"budgets     {_budget_header(args)}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, "budgets     ")
     if not passed:
         return 1
     return _finish(args, rep.confidence)
@@ -148,55 +149,44 @@ def cmd_dihedral(args) -> int:
     names = ("a", "b")
     graph = dihedral.edge_graph(m, names)
     if args.dihedral_op == "nf":
-        word = parse_word(args.word)
-        nf = dihedral.garside_nf(m, word, names)
+        if args.word is None:
+            raise GraphError("PARSE", "dihedral nf needs --word")
+        nf = dihedral.garside_nf(m, _word_on(graph, args.word), names)
         payload = {
             "power": nf.power,
             "factors": [list(f) for f in nf.factors],
             "spelling": format_word(nf.spelling),
-            "budgets": _budget_header(args),
         }
-        _emit(
-            args,
-            payload,
-            [
-                f"power     {nf.power}",
-                f"factors   {nf.factors}",
-                f"spelling  {format_word(nf.spelling)}",
-                f"budgets   {_budget_header(args)}",
-            ],
-        )
+        lines = [
+            f"power     {nf.power}",
+            f"factors   {nf.factors}",
+            f"spelling  {format_word(nf.spelling)}",
+        ]
+        _emit(args, payload, lines)
         return 0
     aut = parse_automorphism(graph, args.aut)
     if args.dihedral_op == "fix":
         rep = dihedral.dihedral_fix(m, aut, names)
-        _emit(
-            args,
-            _report_payload(args, rep),
-            [rep.to_text(), f"budgets     {_budget_header(args)}"],
-        )
+        _emit(args, rep.to_json(), [rep.to_text()], "budgets     ")
         return _finish(args, rep.confidence)
-    if args.dihedral_op == "tree":
-        if m % 2:
-            raise GraphError("PARITY_MISMATCH", "the tree export needs even m")
-        fs = dihedral.tree_fixed_set(m // 2, aut, args.radius, names)
-        if args.format == "dot":
-            print(dihedral.tree_dot(fs))
-            return 0
-        payload = {
-            "radius": fs.radius,
-            "fixed_vertices": [list(map(str, k)) for k in fs.sorted_vertices()],
-            "midpoints": [list(map(str, k)) for k in sorted(fs.midpoints)],
-            "budgets": _budget_header(args),
-        }
-        lines = [f"fixed vertices ({len(fs.vertices)}):"]
-        lines += [f"  {k}" for k in fs.sorted_vertices()]
-        lines.append(f"inverted midpoints ({len(fs.midpoints)}):")
-        lines += [f"  {k}" for k in sorted(fs.midpoints)]
-        lines.append(f"budgets   {_budget_header(args)}")
-        _emit(args, payload, lines)
+    # tree
+    if m % 2:
+        raise GraphError("PARITY_MISMATCH", "the tree export needs even m")
+    fs = dihedral.tree_fixed_set(m // 2, aut, args.radius, names)
+    if args.format == "dot":
+        print(dihedral.tree_dot(fs))
         return 0
-    raise GraphError("PARSE", f"unknown dihedral op {args.dihedral_op}")
+    payload = {
+        "radius": fs.radius,
+        "fixed_vertices": [list(map(str, k)) for k in fs.sorted_vertices()],
+        "midpoints": [list(map(str, k)) for k in sorted(fs.midpoints)],
+    }
+    lines = [f"fixed vertices ({len(fs.vertices)}):"]
+    lines += [f"  {k}" for k in fs.sorted_vertices()]
+    lines.append(f"inverted midpoints ({len(fs.midpoints)}):")
+    lines += [f"  {k}" for k in sorted(fs.midpoints)]
+    _emit(args, payload, lines)
+    return 0
 
 
 def cmd_deligne(args) -> int:
@@ -208,10 +198,8 @@ def cmd_deligne(args) -> int:
             return 0
         displacements = None
         if args.displacement:
-            word = parse_word(args.displacement)
+            word = _word_on(graph, args.displacement)
             displacements = deligne.displacement_field(word, ball, budget=args.budget)
-        payload = ball.to_json(displacements=displacements)
-        payload["budgets"] = _budget_header(args)
         lines = [
             f"vertices  {len(ball.vertices)}",
             f"edges     {len(ball.edges)}",
@@ -222,27 +210,23 @@ def cmd_deligne(args) -> int:
             lines.append(
                 f"minset    {[ball.vertices[i].label() for i in slice_]}"
             )
-        lines.append(f"budgets   {_budget_header(args)}")
-        _emit(args, payload, lines)
+        _emit(args, ball.to_json(displacements=displacements), lines)
         return 0
-    if args.deligne_op == "fixed":
-        aut = normalize_aut(graph, args.aut)
-        fixed, lower = deligne.fixed_vertices(aut, ball, budget=args.budget)
-        if args.format == "dot":
-            print(ball.essential_dot(highlight=fixed))
-            return 0
-        payload = {
-            "fixed": [ball.vertices[i].label() for i in fixed],
-            "lower_bound_only": lower,
-            "budgets": _budget_header(args),
-        }
-        lines = [f"fixed ({len(fixed)}):"]
-        lines += [f"  {ball.vertices[i].label()}" for i in fixed]
-        lines.append(f"lower bound only: {lower}")
-        lines.append(f"budgets   {_budget_header(args)}")
-        _emit(args, payload, lines)
-        return _finish(args, "BUDGET_LIMITED" if lower else "PROVEN")
-    raise GraphError("PARSE", f"unknown deligne op {args.deligne_op}")
+    # fixed
+    aut = normalize_aut(graph, args.aut)
+    fixed, lower = deligne.fixed_vertices(aut, ball, budget=args.budget)
+    if args.format == "dot":
+        print(ball.essential_dot(highlight=fixed))
+        return 0
+    payload = {
+        "fixed": [ball.vertices[i].label() for i in fixed],
+        "lower_bound_only": lower,
+    }
+    lines = [f"fixed ({len(fixed)}):"]
+    lines += [f"  {ball.vertices[i].label()}" for i in fixed]
+    lines.append(f"lower bound only: {lower}")
+    _emit(args, payload, lines)
+    return _finish(args, "BUDGET_LIMITED" if lower else "PROVEN")
 
 
 def cmd_graph_emit(args) -> int:
@@ -266,63 +250,70 @@ def cmd_graph_emit(args) -> int:
 
 def cmd_oracle_eq(args) -> int:
     graph = _graph_from_args(args)
-    u, v = parse_word(args.words[0]), parse_word(args.words[1])
+    u, v = _word_on(graph, args.words[0]), _word_on(graph, args.words[1])
     verdict = word_equal(graph, u, v, budget=args.budget)
     payload = {
         "status": verdict.status,
         "method": verdict.method,
         "expansions": verdict.expansions,
-        "budgets": _budget_header(args),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"{verdict.status} ({verdict.method}, {verdict.expansions} expansions)",
-            f"budgets   {_budget_header(args)}",
-        ],
-    )
+    _emit(args, payload, [f"{verdict.status} ({verdict.method}, {verdict.expansions} expansions)"])
     return _finish(args, "BUDGET_LIMITED" if verdict.is_unknown else "PROVEN")
 
 
-def _add_common(p, graph=True):
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become GraphError, so they exit 1 like domain errors."""
+
+    def error(self, message):
+        raise GraphError("USAGE", f"{self.prog}: {message}")
+
+
+def _add_options(p, graph=True, formats=("text", "json"), budget=False, radius=False,
+                 search_len=False, strict=False):
     if graph:
         p.add_argument("--graph", help="graph file in the line format")
         p.add_argument("--graph-text", help="inline graph, ';' separates lines")
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--radius", type=int, default=4)
-    p.add_argument("--search-len", dest="search_len", type=int, default=4)
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.add_argument("--strict", action="store_true")
+    if budget:
+        p.add_argument("--budget", type=int, default=100_000, help="oracle expansions per check")
+    if radius:
+        p.add_argument("--radius", type=int, default=4)
+    if search_len:
+        p.add_argument("--search-len", dest="search_len", type=int, default=4,
+                       help="longest conjugating word the classifier tries")
+    if formats:
+        p.add_argument("--format", choices=formats, default="text")
+    if strict:
+        p.add_argument("--strict", action="store_true",
+                       help="exit 2 when the result is only BUDGET_LIMITED")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="artinfix",
         description="fixed subgroups of graph-and-inversion automorphisms of large-type Artin groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a defining graph")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("autgen", help="enumerate label-preserving graph automorphisms")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=cmd_autgen)
 
     p = sub.add_parser("classify", help="classify the fixed subgroup")
-    _add_common(p)
+    _add_options(p, search_len=True, strict=True)
     p.add_argument("--aut", required=True, help="automorphism DSL")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("fix-gens", help="print the fixed subgroup generators")
-    _add_common(p)
+    _add_options(p, search_len=True, strict=True)
     p.add_argument("--aut", required=True)
     p.set_defaults(func=cmd_fix_gens)
 
     p = sub.add_parser("verify", help="classify and re-verify the report")
-    _add_common(p)
+    _add_options(p, budget=True, search_len=True, strict=True)
     p.add_argument("--aut", required=True)
     p.set_defaults(func=cmd_verify)
 
@@ -331,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--word", help="word for nf")
     p.add_argument("--aut", default="", help="automorphism DSL for fix/tree")
-    _add_common(p, graph=False)
+    _add_options(p, graph=False, formats=("text", "json", "dot"), radius=True, strict=True)
     p.set_defaults(func=cmd_dihedral)
 
     p = sub.add_parser("deligne", help="coset-complex ball operations")
     p.add_argument("deligne_op", choices=("ball", "fixed"))
-    _add_common(p)
+    _add_options(p, formats=("text", "json", "dot"), budget=True, radius=True, strict=True)
     p.add_argument("--aut", default="", help="automorphism DSL for fixed")
     p.add_argument("--local-bound", dest="local_bound", type=int, default=None)
     p.add_argument(
@@ -347,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="emit graphs as DOT")
     p.add_argument("graph_op", choices=("emit",))
-    _add_common(p)
+    _add_options(p, formats=None)
     p.add_argument("--sigma", default=None, help="graph automorphism DSL")
     p.add_argument("--odd-base", dest="odd_base", default=None)
     p.add_argument("--style", choices=("power", "inversion"), default="power")
@@ -356,16 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="raw word oracle")
     p.add_argument("oracle_op", choices=("eq",))
     p.add_argument("words", nargs=2)
-    _add_common(p)
+    _add_options(p, budget=True, strict=True)
     p.set_defaults(func=cmd_oracle_eq)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        for k, value in _budget_header(args).items():
+            if value is not None and value < 0:
+                raise GraphError("NEGATIVE_BOUND", f"--{k.replace('_', '-')} must be >= 0")
         return args.func(args)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)

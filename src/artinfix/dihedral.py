@@ -293,7 +293,6 @@ def subgroup_ball(
     length: int,
     names: tuple[str, str] = DEFAULT_NAMES,
     whole_group: bool = False,
-    power_cap: int = 24,
 ) -> set:
     """Normal-form keys of subgroup elements inside the geodesic ball.
 
@@ -303,6 +302,7 @@ def subgroup_ball(
     """
     eng = engine(m)
     ball = eng.ball(length)
+    power_cap = 24
     if whole_group:
         return set(ball)
     gens = [eng.from_letters(_to_indices(w, names)) for w in generators if free_reduce(w)]
@@ -369,8 +369,8 @@ def _t_exponent(m: int, word: Word, names) -> int:
     return total
 
 
-def _axis_minimal(m: int, w: Word, names, radius: int = 7):
-    """Minimal-translation element commuting with a hyperbolic w, by ball scan.
+def _axis_minimal(m: int, w: Word, names):
+    """Minimal-translation element commuting with a hyperbolic w, by a radius-7 ball scan.
 
     Returns (word, translation, provably_minimal).  Minimality is certain when
     the translation is 1 (even tree) or 2 (odd, bipartite tree), or when a
@@ -379,7 +379,7 @@ def _axis_minimal(m: int, w: Word, names, radius: int = 7):
     eng = engine(m)
     wkey = eng.from_letters(_to_indices(w, names))
     best = None
-    for key, word_idx in eng.ball(radius).items():
+    for key, word_idx in eng.ball(7).items():
         if key == (0, ()) or eng.mul(key, wkey) != eng.mul(wkey, key):
             continue
         cand = tuple((names[i], s) for i, s in word_idx)
@@ -404,9 +404,7 @@ def _axis_minimal(m: int, w: Word, names, radius: int = 7):
     return cand, ell, proven
 
 
-def dihedral_centralizer(
-    m: int, g: Word, names: tuple[str, str] = DEFAULT_NAMES, radius: int = 7
-):
+def dihedral_centralizer(m: int, g: Word, names: tuple[str, str] = DEFAULT_NAMES):
     """Centralizer of a nontrivial element: (tag, generators, exact, note)."""
     g = free_reduce(g)
     if not g:
@@ -424,7 +422,7 @@ def dihedral_centralizer(
             h = hnn.bs_to_artin(n, conj, names)
             gen = mul(h, ((names[0], 1), (names[1], 1)), inv(h))
             return "ELLIPTIC_Z", (free_reduce(gen),), True, "vertex stabiliser"
-        axis, ell, proven = _axis_minimal(m, g, names, radius)
+        axis, ell, proven = _axis_minimal(m, g, names)
         return "HYPERBOLIC_Z2", (axis, delta), proven, f"axis translation {ell}"
     e = am.am_from_artin(m, g, names)
     if am.am_is_central(m, e):
@@ -436,7 +434,7 @@ def dihedral_centralizer(
         core = delta if kind == "x" else ((names[0], 1), (names[1], 1))
         gen = mul(h, core, inv(h))
         return "ELLIPTIC_Z", (free_reduce(gen),), True, "vertex stabiliser"
-    axis, ell, proven = _axis_minimal(m, g, names, radius)
+    axis, ell, proven = _axis_minimal(m, g, names)
     return "HYPERBOLIC_Z2", (axis, zc), proven, f"axis translation {ell}"
 
 

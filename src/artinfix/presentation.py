@@ -342,6 +342,8 @@ def gamma_a_odd(
     odd, "inversion" uses the alternating half-inverted word there.  All other
     edges carry the empty word.
     """
+    if a not in g.vertices:
+        raise GraphError("UNKNOWN_GENERATOR", f"{a} not a vertex")
     if sigma(a) != a:
         raise GraphError("VERTEX_NOT_FIXED", f"{a} is moved by the automorphism")
     fixed = {v for v in g.vertices if sigma(v) == v}

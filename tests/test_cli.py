@@ -1,6 +1,9 @@
+import argparse
 import json
 
-from artinfix.cli import main
+import pytest
+
+from artinfix.cli import build_parser, main
 
 TRI = "edge a b 3; edge a c 3; edge b c 3"
 
@@ -163,3 +166,70 @@ def test_cross_process_determinism(tmp_path):
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # input faults
+        ["dihedral", "nf", "--m", "3"],
+        ["oracle", "eq", "--graph-text", TRI, "d", "a"],
+        ["deligne", "ball", "--graph-text", TRI, "--radius", "1", "--displacement", "d"],
+        ["validate", "--graph", "{missing}"],
+        ["graph", "emit", "--graph-text", TRI, "--odd-base", "d"],
+        # negative knobs
+        ["deligne", "ball", "--graph-text", TRI, "--radius", "-2"],
+        ["dihedral", "tree", "--m", "4", "--radius", "-1"],
+        ["verify", "--graph-text", TRI, "--aut", "conj a", "--budget", "-1"],
+        ["classify", "--graph-text", TRI, "--aut", "conj a", "--search-len", "-1"],
+        ["deligne", "ball", "--graph-text", TRI, "--radius", "1", "--local-bound", "-1"],
+        # usage errors, including options the subcommand does not read
+        ["classify", "--graph-text", TRI, "--aut", "conj a", "--budget", "5"],
+        ["classify", "--graph-text", TRI, "--aut", "conj a", "--radius", "3"],
+        ["validate", "--graph-text", TRI, "--budget", "5"],
+        ["validate", "--graph-text", TRI, "--format", "dot"],
+        ["classify", "--graph-text", TRI],
+        ["no-such-command"],
+    ],
+)
+def test_bad_input_is_a_coded_error(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing.g") for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_each_command_registers_only_the_options_it_reads(capsys):
+    graph = {"graph", "graph_text"}
+    classify_opts = graph | {"format", "aut", "search_len", "strict"}
+    expected = {
+        "validate": graph | {"format"},
+        "autgen": graph | {"format"},
+        "classify": classify_opts,
+        "fix-gens": classify_opts,
+        "verify": classify_opts | {"budget"},
+        "dihedral": {"m", "word", "aut", "radius", "format", "strict"},
+        "deligne": graph | {"budget", "radius", "format", "strict", "aut", "local_bound",
+                            "displacement"},
+        "graph": graph | {"sigma", "odd_base", "style"},
+        "oracle": graph | {"budget", "format", "strict"},
+    }
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    got = {
+        name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert got == expected
+    assert sum(len(d) for d in got.values()) == 50
+    dot = {name for name, p in subparsers.choices.items()
+           for a in p._actions if a.dest == "format" and "dot" in a.choices}
+    assert dot == {"dihedral", "deligne"}
+
+    code, out = run(capsys, ["classify", "--graph-text", TRI, "--aut", "conj a"])
+    assert code == 0
+    assert "budgets     {'search_len': 4}" in out
+    code, out = run(capsys, ["deligne", "ball", "--graph-text", TRI, "--radius", "1",
+                             "--local-bound", "2", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["budgets"] == {"budget": 100000, "radius": 1, "local_bound": 2}
