@@ -633,11 +633,19 @@ def centralizer_case(graph: DefiningGraph, g: Word, search_len: int = 3) -> Cent
 # Top level.
 
 
+def dihedral_edge(graph) -> int | None:
+    """The coefficient of a one-edge graph, which classify hands to dihedral_fix
+    (reading no search length); None for every other graph."""
+    if len(graph.vertices) == 2 and graph.edge_list:
+        return graph.edge_list[0][2]
+    return None
+
+
 def classify(aut: ArtinAutomorphism, search_len: int = 4) -> FixReport:
     """Full pipeline: ellipticity decision, case dispatch, certified report."""
     graph = aut.graph
-    if len(graph.vertices) == 2 and graph.edge_list:
-        m = graph.edge_list[0][2]
+    m = dihedral_edge(graph)
+    if m is not None:
         return dihedral_fix(m, aut, names=graph.vertices)
     if aut.perm.is_identity and not aut.inversion:
         g = free_reduce(aut.conj)

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import deligne, dihedral
-from .classifier import classify, normalize_aut, verify_report
+from .classifier import classify, dihedral_edge, normalize_aut, verify_report
 from .oracle import word_equal
 from .presentation import (
     GraphError,
@@ -110,7 +110,10 @@ def cmd_autgen(args) -> int:
 
 def _classified(args):
     aut = normalize_aut(_graph_from_args(args), args.aut)
-    return aut, classify(aut, search_len=args.search_len)
+    rep = classify(aut, search_len=args.search_len)
+    if dihedral_edge(aut.graph) is not None:
+        del args.search_len  # dihedral_fix decided it; the header names only knobs read
+    return aut, rep
 
 
 def cmd_classify(args) -> int:

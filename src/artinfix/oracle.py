@@ -15,19 +15,32 @@ syllables are replaced by their canonical dihedral spelling after every step,
 which collapses the in-fragment part of the search space and leaves the
 relator moves to do only cross-fragment work.  The search is bidirectional,
 breadth first, deterministic, and counts expanded nodes against the budget.
+
+Everything the oracle derives from a defining graph lives in one per-graph
+context, built on first use and held by the graph instance itself (a private
+field outside its equality, hash and repr): the ordered table of finite
+pairs, the relator rewrite patterns, the odd-component index behind the
+abelianization invariant, and three memos -- syllable spellings, canonical
+forms and rewrite successors.  Each memo is cleared once it passes 2^19
+entries.  Memos hold only values of pure functions of their keys, so a
+verdict never depends on what the process computed before.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .garside import engine
 from .presentation import DefiningGraph, INFINITY
-from .words import Word, abelianization_vector, free_reduce, height, odd_components, support
+from .words import Word, free_reduce, height, odd_components, support
 
 DEFAULT_BUDGET = 100_000
+
+# Passes of the syllable rewrite per canonical_form call, and memo size cap.
+_MAX_PASSES = 6
+_MEMO_LIMIT = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -66,11 +79,10 @@ def _unknown(expansions: int) -> EqualityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Relator rewrite patterns.
+# The per-graph context.
 
 
-@lru_cache(maxsize=None)
-def _patterns(graph: DefiningGraph):
+def _patterns(edges: tuple[tuple[str, str, int], ...]):
     """All (u -> v) rewrites derived from rotations of the braid relators.
 
     For each finite edge the relator is pos(s,t,m) . pos(t,s,m)^-1; every
@@ -78,7 +90,7 @@ def _patterns(graph: DefiningGraph):
     u -> v.  Patterns are indexed by their first letter.
     """
     moves: set[tuple[Word, Word]] = set()
-    for s, t, m in graph.finite_edges():
+    for s, t, m in edges:
         pos_st = tuple(((s, t)[i % 2], 1) for i in range(m))
         pos_ts = tuple(((t, s)[i % 2], 1) for i in range(m))
         relator = pos_st + tuple((n, -sg) for n, sg in reversed(pos_ts))
@@ -96,37 +108,9 @@ def _patterns(graph: DefiningGraph):
     return index
 
 
-# ---------------------------------------------------------------------------
-# Syllable canonical form.
-
-
-@lru_cache(maxsize=None)
-def _letter_map(pair: tuple[str, str]):
-    return {pair[0]: 0, pair[1]: 1}
-
-
-def _syllables(graph: DefiningGraph, word: Word):
-    """Greedy maximal runs fitting inside one finite-coefficient pair."""
-    runs: list[tuple[frozenset, list]] = []
-    current: list = []
-    names: set[str] = set()
-    for letter in word:
-        name = letter[0]
-        if name in names or not current:
-            current.append(letter)
-            names.add(name)
-            continue
-        if len(names) == 1:
-            other = next(iter(names))
-            if graph.coefficient(other, name) is not INFINITY:
-                current.append(letter)
-                names.add(name)
-                continue
-        runs.append((frozenset(names), current))
-        current, names = [letter], {name}
-    if current:
-        runs.append((frozenset(names), current))
-    return runs
+def _indices(pair: tuple[str, str], word: Word) -> tuple:
+    """The word over a two-generator pair as dihedral engine letters 0/1."""
+    return tuple((0 if n == pair[0] else 1, sg) for n, sg in word)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -135,42 +119,124 @@ def _dihedral_canonical(m: int, idx_word: tuple) -> tuple:
     return tuple(eng.spell(eng.from_letters(idx_word)))
 
 
-_CANONICAL_MEMO: dict = {}
+def _remember(memo: dict, key, value) -> None:
+    if len(memo) > _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+
+
+class _OracleContext:
+    """What the oracle derives from one graph, and the memos it fills."""
+
+    def __init__(self, graph: DefiningGraph):
+        self.edges = graph.finite_edges()
+        # (x, y) -> (sorted pair, m) for both orders of every finite edge
+        self.pairs: dict[tuple[str, str], tuple[tuple[str, str], int]] = {}
+        for s, t, m in self.edges:
+            self.pairs[(s, t)] = self.pairs[(t, s)] = ((s, t), m)
+        self.max_m = max((m for _, _, m in self.edges), default=3)
+        self.components = odd_components(graph)
+        self.component_of = {
+            v: i for i, comp in enumerate(self.components) for v in comp
+        }
+        self.spellings: dict[Word, Word] = {}  # two-name run -> canonical spelling
+        self.canonical: dict[Word, Word] = {}  # reduced word -> canonical_form
+        self.successors: dict[tuple[Word, int], tuple] = {}  # (state, max_len) -> moves
+
+    @cached_property
+    def patterns(self):
+        """The relator rewrites, built when a rewrite search first needs them:
+        for m = 10 they take milliseconds, and two-generator questions never
+        search."""
+        return _patterns(self.edges)
+
+    def abelianization(self, word: Word) -> tuple[int, ...]:
+        """Exponent sums per odd component, as words.abelianization_vector."""
+        vec = [0] * len(self.components)
+        for name, sign in word:
+            vec[self.component_of[name]] += sign
+        return tuple(vec)
+
+    def syllable_pass(self, word: Word) -> Word:
+        """Respell every greedy maximal two-generator run of the word.
+
+        A run starts at a letter, absorbs its repeats, and, when the next
+        name forms a finite pair with it, every following letter of that
+        pair.  Returns the word itself when no run changed; the result is not
+        freely reduced.
+        """
+        out: list = []
+        changed = False
+        pairs, spellings = self.pairs, self.spellings
+        n, i = len(word), 0
+        while i < n:
+            x = word[i][0]
+            j = i + 1
+            while j < n and word[j][0] == x:
+                j += 1
+            link = pairs.get((x, word[j][0])) if j < n else None
+            if link is None:
+                out.extend(word[i:j])
+                i = j
+                continue
+            pair, m = link
+            j += 1
+            while j < n and word[j][0] in pair:
+                j += 1
+            run = word[i:j]
+            spelled = spellings.get(run)
+            if spelled is None:
+                spelled = tuple(
+                    (pair[k], sg) for k, sg in _dihedral_canonical(m, _indices(pair, run))
+                )
+                _remember(spellings, run, spelled)
+            changed = changed or spelled != run
+            out.extend(spelled)
+            i = j
+        return tuple(out) if changed else word
+
+
+def _context(graph: DefiningGraph) -> _OracleContext:
+    ctx = graph._context
+    if ctx is None:
+        ctx = _OracleContext(graph)
+        object.__setattr__(graph, "_context", ctx)
+    return ctx
+
+
+# ---------------------------------------------------------------------------
+# Syllable canonical form.
 
 
 def canonical_form(graph: DefiningGraph, word: Word) -> Word:
     """Rewrite every maximal dihedral syllable to its canonical spelling.
 
     Sound: each replacement is an equality in the two-generator subgroup.
-    Iterates to a fixed point (replacements can merge adjacent syllables);
-    passes never increase length, and a length-preserving pass is accepted
-    only once to guarantee termination.
+    Passes repeat (a replacement can merge adjacent syllables) until one
+    changes nothing, or would make the word longer, in which case the word
+    before it is kept; at most six passes run.  The result is a pure
+    function of the graph and the freely reduced word: it is recorded as its
+    own canonical form only when a pass confirmed that, never when the
+    six-pass cap stopped the loop.
     """
     word = free_reduce(word)
-    memo_key = (graph, word)
-    hit = _CANONICAL_MEMO.get(memo_key)
+    ctx = _context(graph)
+    memo = ctx.canonical
+    hit = memo.get(word)
     if hit is not None:
         return hit
-    original = word
-    for _ in range(6):
-        out: list = []
-        for names, run in _syllables(graph, word):
-            if len(names) == 2:
-                pair = tuple(sorted(names))
-                m = int(graph.coefficient(*pair))
-                lm = _letter_map(pair)
-                spelled = _dihedral_canonical(m, tuple((lm[n], sg) for n, sg in run))
-                out.extend((pair[i], sg) for i, sg in spelled)
-            else:
-                out.extend(run)
-        new = free_reduce(out)
+    original, settled = word, False
+    for _ in range(_MAX_PASSES):
+        new = ctx.syllable_pass(word)
+        if new is not word:
+            new = free_reduce(new)
         if new == word or len(new) > len(word):
+            settled = True
             break
         word = new
-    if len(_CANONICAL_MEMO) > (1 << 19):
-        _CANONICAL_MEMO.clear()
-    _CANONICAL_MEMO[memo_key] = word
-    _CANONICAL_MEMO[(graph, word)] = word
+    _remember(memo, original, word)
+    if settled:
+        memo[word] = word
     return word
 
 
@@ -185,9 +251,8 @@ def _dihedral_compare(graph: DefiningGraph, u: Word, v: Word, names):
     m = graph.coefficient(*pair) if pair[0] != pair[1] else INFINITY
     if pair[0] != pair[1] and m is not INFINITY:
         eng = engine(int(m))
-        lm = _letter_map(pair)
-        nu = eng.from_letters((lm[n], sg) for n, sg in u)
-        nv = eng.from_letters((lm[n], sg) for n, sg in v)
+        nu = eng.from_letters(_indices(pair, u))
+        nv = eng.from_letters(_indices(pair, v))
         if nu == nv:
             return _equal("dihedral-nf", (pair, nu))
         return _not_equal("dihedral-nf", (pair, nu, nv))
@@ -201,7 +266,14 @@ def _dihedral_compare(graph: DefiningGraph, u: Word, v: Word, names):
 # Bidirectional rewrite search.
 
 
-def _successors(graph: DefiningGraph, state: Word, patterns, max_len: int):
+def _successors(graph: DefiningGraph, ctx: _OracleContext, state: Word, max_len: int):
+    """Canonical words one relator move from state, with the moves, memoised."""
+    key = (state, max_len)
+    hit = ctx.successors.get(key)
+    if hit is not None:
+        return hit
+    patterns = ctx.patterns
+    out = []
     n = len(state)
     for i in range(n):
         bucket = patterns.get(state[i])
@@ -217,16 +289,18 @@ def _successors(graph: DefiningGraph, state: Word, patterns, max_len: int):
                 graph, state[:i] + v + state[end:]
             )
             if len(candidate) <= max_len:
-                yield candidate, (i, u, v)
+                out.append((candidate, (i, u, v)))
+    hit = tuple(out)
+    _remember(ctx.successors, key, hit)
+    return hit
 
 
 def _search(graph: DefiningGraph, u: Word, v: Word, budget: int, slack: int):
     """Bidirectional BFS between canonical forms; returns verdict parts."""
-    patterns = _patterns(graph)
-    if not patterns:
+    ctx = _context(graph)
+    if not ctx.patterns:
         return None, 0  # free group: free reduction already decided
-    max_m = max(m for _, _, m in graph.finite_edges())
-    max_len = max(len(u), len(v)) + (slack if slack is not None else 2 * max_m)
+    max_len = max(len(u), len(v)) + (slack if slack is not None else 2 * ctx.max_m)
 
     seen_u: dict[Word, tuple] = {u: None}
     seen_v: dict[Word, tuple] = {v: None}
@@ -251,7 +325,7 @@ def _search(graph: DefiningGraph, u: Word, v: Word, budget: int, slack: int):
         )
         state = queue.popleft()
         expansions += 1
-        for nxt, move in _successors(graph, state, patterns, max_len):
+        for nxt, move in _successors(graph, ctx, state, max_len):
             if nxt in seen:
                 continue
             seen[nxt] = (state, move)
@@ -280,7 +354,8 @@ def word_equal(
     hu, hv = height(u), height(v)
     if hu != hv:
         return _not_equal("height", (hu, hv))
-    au, av = abelianization_vector(graph, u), abelianization_vector(graph, v)
+    ctx = _context(graph)
+    au, av = ctx.abelianization(u), ctx.abelianization(v)
     if au != av:
         return _not_equal("abelianization", (au, av))
     names = support(u) | support(v)
@@ -329,23 +404,21 @@ def member_of_parabolic(
     word = canonical_form(graph, free_reduce(word))
     if support(word) <= gens:
         return MembershipResult("MEMBER", word)
-    comps = odd_components(graph)
-    vec = abelianization_vector(graph, word)
-    for i, comp in enumerate(comps):
+    ctx = _context(graph)
+    vec = ctx.abelianization(word)
+    for i, comp in enumerate(ctx.components):
         if vec[i] != 0 and not (set(comp) & gens):
             return MembershipResult(
                 "NOT_MEMBER", None, ("abelianization", i, vec[i])
             )
-    patterns = _patterns(graph)
-    max_m = max((m for _, _, m in graph.finite_edges()), default=3)
-    max_len = len(word) + (slack if slack is not None else 2 * max_m)
+    max_len = len(word) + (slack if slack is not None else 2 * ctx.max_m)
     seen: dict[Word, tuple] = {word: None}
     queue: deque[Word] = deque([word])
     expansions = 0
     while queue and expansions < budget:
         state = queue.popleft()
         expansions += 1
-        for nxt, move in _successors(graph, state, patterns, max_len):
+        for nxt, move in _successors(graph, ctx, state, max_len):
             if nxt in seen:
                 continue
             seen[nxt] = (state, move)
@@ -370,9 +443,8 @@ def replay(graph: DefiningGraph, verdict: EqualityVerdict, u: Word, v: Word) -> 
         pair = verdict.certificate[0]
         m = int(graph.coefficient(*pair))
         eng = engine(m)
-        lm = _letter_map(pair)
-        nu = eng.from_letters((lm[n], sg) for n, sg in u)
-        nv = eng.from_letters((lm[n], sg) for n, sg in v)
+        nu = eng.from_letters(_indices(pair, u))
+        nv = eng.from_letters(_indices(pair, v))
         return nu == nv == verdict.certificate[1]
     if verdict.method == "canonical":
         return canonical_form(graph, u) == canonical_form(graph, v)

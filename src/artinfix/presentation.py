@@ -40,6 +40,10 @@ class DefiningGraph:
     _coeff: dict[tuple[str, str], int] = field(
         default=None, repr=False, compare=False, hash=False
     )
+    # the word oracle's per-graph tables and memos, built on first use
+    _context: object = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         object.__setattr__(

@@ -233,3 +233,16 @@ def test_each_command_registers_only_the_options_it_reads(capsys):
                              "--local-bound", "2", "--format", "json"])
     assert code == 0
     assert json.loads(out)["budgets"] == {"budget": 100000, "radius": 1, "local_bound": 2}
+
+
+def test_single_edge_header_omits_search_len(capsys):
+    # a one-edge graph is decided by dihedral_fix, which reads no search length
+    argv = ["--graph-text", "edge a b 3", "--aut", "conj a", "--search-len", "0"]
+    code, out = run(capsys, ["classify", *argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["budgets"] == {}
+    code, out = run(capsys, ["verify", *argv])
+    assert code == 0
+    assert "budgets     {'budget': 100000}" in out
+    code, out = run(capsys, ["fix-gens", *argv, "--format", "json"])
+    assert json.loads(out)["budgets"] == {}

@@ -165,3 +165,138 @@ def test_free_fragment_between_non_adjacent_generators():
     verdict = word_equal(path, parse_word("a c"), parse_word("c a"))
     assert verdict.is_not_equal
     assert verdict.method == "free"
+
+
+# ---------------------------------------------------------------------------
+# canonical_form against the memo-free reference loop.
+
+
+def _reference_syllables(graph, word):
+    """Greedy maximal runs fitting inside one finite-coefficient pair."""
+    from artinfix.presentation import INFINITY
+
+    runs = []
+    current, names = [], set()
+    for letter in word:
+        name = letter[0]
+        if name in names or not current:
+            current.append(letter)
+            names.add(name)
+            continue
+        if len(names) == 1:
+            other = next(iter(names))
+            if graph.coefficient(other, name) is not INFINITY:
+                current.append(letter)
+                names.add(name)
+                continue
+        runs.append((frozenset(names), current))
+        current, names = [letter], {name}
+    if current:
+        runs.append((frozenset(names), current))
+    return runs
+
+
+def reference_canonical_form(graph, word):
+    """Respell every maximal two-generator run, for at most six passes."""
+    from artinfix.oracle import _dihedral_canonical
+
+    word = free_reduce(word)
+    for _ in range(6):
+        out = []
+        for names, run in _reference_syllables(graph, word):
+            if len(names) == 2:
+                pair = tuple(sorted(names))
+                m = int(graph.coefficient(*pair))
+                spelled = _dihedral_canonical(m, tuple((pair.index(n), sg) for n, sg in run))
+                out.extend((pair[i], sg) for i, sg in spelled)
+            else:
+                out.extend(run)
+        new = free_reduce(out)
+        if new == word or len(new) > len(word):
+            break
+        word = new
+    return word
+
+
+def _reduced_words(graph, length):
+    letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+    layer = [()]
+    for _ in range(length):
+        yield from layer
+        layer = [
+            w + (x,) for w in layer for x in letters
+            if not w or w[-1] != (x[0], -x[1])
+        ]
+    yield from layer
+
+
+def test_canonical_form_matches_reference(triangle, mixed334, edge4):
+    from artinfix.presentation import validate_graph
+
+    path = validate_graph([("a", "b", 3), ("b", "c", 3)])  # a-c is infinite
+    for graph in (triangle, mixed334, edge4, path):
+        for w in _reduced_words(graph, 6):
+            assert canonical_form(graph, w) == reference_canonical_form(graph, w), w
+
+
+def test_canonical_form_is_pure_after_the_pass_cap():
+    # canonical_form(w) stops at the six-pass cap; its output x is not a fixed
+    # point, so the answer for x must not depend on w having been seen first
+    from artinfix.presentation import validate_graph
+
+    w = parse_word("b c- a b c a b c a b c a b c^2 b-")
+    x = parse_word("b c- b- a b c a b c a b c a b^2 c")
+    edges = [("a", "b", 3), ("a", "c", 3), ("b", "c", 3)]
+    for order in ((w, x), (x, w)):
+        graph = validate_graph(edges)
+        for word in order:
+            assert canonical_form(graph, word) == reference_canonical_form(graph, word)
+    assert reference_canonical_form(graph, w) == x
+    assert reference_canonical_form(graph, x) != x
+
+
+def _oracle_queries(graph):
+    rng = random.Random(29)
+    letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+    z = parse_word("a b c a b c")
+    queries = [
+        ("eq", parse_word("c a b a c-"), parse_word("c b a b c-"), 100_000),
+        ("eq", mul(z, parse_word("b"), inv(z)), parse_word("b"), 100_000),
+        ("eq", mul(z, parse_word("a"), inv(z)), parse_word("a"), 1),
+        ("mem", parse_word("a b a b- a-"), {"a", "b"}, 100_000),
+        ("mem", parse_word("c"), {"a", "b"}, 50),
+    ]
+    for _ in range(12):
+        u = free_reduce(rng.choices(letters, k=6))
+        conj = free_reduce(rng.choices(letters, k=2))
+        rel = mul(parse_word("a b a"), inv(parse_word("b a b")))
+        queries.append(("eq", u, mul(u, rel), 300))
+        queries.append(("eq", mul(conj, u, inv(conj)), u, 200))
+        queries.append(("mem", mul(conj, u, inv(conj)), {"a", "c"}, 40))
+    return queries
+
+
+def _answers(graph, queries):
+    out = []
+    for kind, first, second, budget in queries:
+        if kind == "eq":
+            out.append(word_equal(graph, first, second, budget))
+        else:
+            out.append(member_of_parabolic(graph, first, second, budget))
+    return out
+
+
+def test_verdicts_do_not_depend_on_warm_memos():
+    from artinfix.presentation import validate_graph
+
+    edges = [("a", "b", 3), ("a", "c", 3), ("b", "c", 3)]
+    fresh = validate_graph(edges)
+    queries = _oracle_queries(fresh)
+    expected = _answers(fresh, queries)
+    assert {v.status for v in expected} >= {"EQUAL", "UNKNOWN", "MEMBER"}
+    assert any(v.expansions for v in expected)
+    warm = validate_graph(edges)
+    _answers(warm, queries[::-1])
+    for w in _reduced_words(warm, 4):
+        canonical_form(warm, w)
+    assert _answers(warm, queries) == expected
