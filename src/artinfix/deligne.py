@@ -31,12 +31,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .garside import engine
-from .oracle import canonical_form, member_of_parabolic, word_equal
+from .oracle import _context, canonical_form, member_of_parabolic, word_equal
 from .presentation import DefiningGraph, GraphError, graph_automorphisms
 from .words import (
     ArtinAutomorphism,
     Word,
-    abelianization_vector,
     format_word,
     free_reduce,
     height,
@@ -257,6 +256,7 @@ def build_ball(
     """
     ball = DeligneBall(graph, radius, local_bound)
     buckets: dict = {}  # (S, invariants) -> [vid, ...], base orbit only
+    abelianization = _context(graph).abelianization
 
     def local_len(m: int) -> int:
         return local_bound if local_bound is not None else 2 * m
@@ -270,7 +270,7 @@ def build_ball(
         rep = key[1]
         bucket_key = None
         if not S:
-            bucket_key = ((), height(rep), abelianization_vector(graph, rep))
+            bucket_key = ((), height(rep), abelianization(rep))
             for vid in buckets.get(bucket_key, ()):
                 status = _coset_contains(graph, (), mul(inv(ball.vertices[vid].rep), rep), 0)
                 if status == "EQUAL":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import amalgam as am
 from . import hnn
-from .garside import engine
+from .garside import IDENTITY, engine
 from .presentation import DefiningGraph, GraphError, validate_graph
 from .report import FixReport, certified_report, normalize_class
 from .words import (
@@ -222,26 +222,44 @@ class TreeFixedSet:
 def tree_fixed_set(
     n: int, aut: ArtinAutomorphism, radius: int, names: tuple[str, str] = DEFAULT_NAMES
 ) -> TreeFixedSet:
-    """Fixed vertices and inverted-edge midpoints within the radius ball."""
+    """Fixed vertices and inverted-edge midpoints within the radius ball.
+
+    The fixed set of a tree automorphism is convex, and so is its trace on
+    the ball, which is grown from one fixed vertex through fixed neighbours.
+    The fixed point nearest the base vertex sits at half the base's
+    displacement d, so the search for that vertex stops at radius
+    min(radius, (d + 1) // 2).  An automorphism that fixes a vertex inverts
+    no edge, so midpoints are looked for only when none is fixed, among the
+    edges of that same near ball; as everywhere here, an edge counts when its
+    bottom vertex (the coset g<x> of the edge coset g<x^n>) lies in the ball.
+    """
     tree = outer_class(2 * n, aut, names).tree(n)
-    order, _ = hnn.tree_ball(n, radius)
-    fixed = frozenset(key for key in order if tree.vertex_image(key) == key)
+    start, near = _fixed_vertex_search(n, tree, radius)
     midpoints = set()
-    for key in order:
-        rep = hnn.vertex_rep(n, key)
-        for i in range(n):
-            g = hnn.bs_mul(n, rep, hnn.bs_from_tokens(n, [("x", i)]))
-            ekey = hnn.edge_key(n, g)
-            if tree.edge_image(g) != ekey:
+    if start is None:
+        for key in near:
+            image = tree.vertex_image(key)
+            rep = hnn.vertex_rep(n, key)
+            for i in range(n):
+                g = hnn.bs_mul(n, rep, hnn.bs_from_tokens(n, [("x", i)]))
+                top = hnn.vertex_key(n, hnn.bs_mul(n, g, hnn.bs_from_tokens(n, [("t", 1)])))
+                ekey = hnn.edge_key(n, g)
+                if image == top and tree.vertex_image(top) == key and tree.edge_image(g) == ekey:
+                    midpoints.add(ekey)
+        return TreeFixedSet(n, radius, frozenset(), frozenset(midpoints))
+    fixed = {start}
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        key = frontier.pop()
+        for nb in hnn.vertex_neighbors(n, key):
+            if nb in seen or len(nb[2]) > radius:
                 continue
-            top = hnn.vertex_key(n, hnn.bs_mul(n, g, hnn.bs_from_tokens(n, [("t", 1)])))
-            bottom = hnn.vertex_key(n, g)
-            if (
-                tree.vertex_image(bottom) == top
-                and tree.vertex_image(top) == bottom
-            ):
-                midpoints.add(ekey)
-    return TreeFixedSet(n, radius, fixed, frozenset(midpoints))
+            seen.add(nb)
+            if tree.vertex_image(nb) == nb:
+                fixed.add(nb)
+                frontier.append(nb)
+    return TreeFixedSet(n, radius, frozenset(fixed), frozenset())
 
 
 def tree_dot(fs: TreeFixedSet) -> str:
@@ -276,15 +294,39 @@ def tree_dot(fs: TreeFixedSet) -> str:
 def brute_fixed(
     m: int, aut: ArtinAutomorphism, length: int, names: tuple[str, str] = DEFAULT_NAMES
 ) -> list[Word]:
-    """Every element of the geodesic ball whose image equals itself, exactly."""
+    """Every element of the geodesic ball whose image equals itself, exactly.
+
+    Images are folded along the ball's own geodesic words: the stored word of
+    every ball element extends the stored word of its parent element by one
+    letter, so walking the ball by word length gives image(p . l) as
+    image(p) . image(l), with the four letter images normalised once.
+    """
     eng = engine(m)
+    letter_image = {
+        (i, s): eng.from_letters(_to_indices(aut(((names[i], s),)), names))
+        for i in (0, 1)
+        for s in (1, -1)
+    }
+    images = {(): IDENTITY}
     out = []
-    for elt, word_idx in eng.ball(length).items():
-        word = tuple((names[i], s) for i, s in word_idx)
-        if eng.from_letters(_to_indices(aut(word), names)) == elt:
-            out.append((len(word_idx), word_idx, word))
+    for elt, word_idx in sorted(eng.ball(length).items(), key=lambda item: len(item[1])):
+        if word_idx:
+            images[word_idx] = eng.mul(images[word_idx[:-1]], letter_image[word_idx[-1]])
+        if images[word_idx] == elt:
+            out.append((len(word_idx), word_idx, tuple((names[i], s) for i, s in word_idx)))
     out.sort()
     return [w for _, _, w in out]
+
+
+def _powers(eng, g, cap: int) -> list:
+    """g^i for |i| <= cap, each power one multiplication from the previous."""
+    out = [IDENTITY]
+    for step in (g, eng.inv(g)):
+        acc = IDENTITY
+        for _ in range(cap):
+            acc = eng.mul(acc, step)
+            out.append(acc)
+    return out
 
 
 def subgroup_ball(
@@ -326,14 +368,8 @@ def subgroup_ball(
         out.add((0, ()))
         return {k for k in out if k in ball}
     if len(gens) == 2 and eng.mul(gens[0], gens[1]) == eng.mul(gens[1], gens[0]):
-        out = set()
-        for i in range(-power_cap, power_cap + 1):
-            ui = eng.pow(gens[0], i)
-            for j in range(-power_cap, power_cap + 1):
-                key = eng.mul(ui, eng.pow(gens[1], j))
-                if key in ball:
-                    out.add(key)
-        return out
+        first, second = (_powers(eng, g, power_cap) for g in gens)
+        return {key for u in first for v in second if (key := eng.mul(u, v)) in ball}
     # generic: closure under generator multiplication inside a slack ball
     slack_ball = eng.ball(length + 2)
     frontier = [(0, ())]
@@ -454,6 +490,7 @@ def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names, search: int 
     fixed = [w for w in fixed if w]
     z0 = free_reduce(z0)
     candidates = fixed + ([z0] if z0 not in fixed else [])
+    targets = {eng.from_letters(_to_indices(w, names)) for w in candidates}
 
     def gen_ok(r: Word) -> bool:
         rkey = eng.from_letters(_to_indices(r, names))
@@ -464,7 +501,6 @@ def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names, search: int 
             for _ in range(64):
                 acc = eng.mul(acc, step)
                 seen.add(acc)
-        targets = {eng.from_letters(_to_indices(w, names)) for w in candidates}
         return targets <= seen
 
     for r in candidates:
@@ -512,21 +548,22 @@ def _alpha_gamma_axis(n: int, k: int) -> hnn.BSElement:
     return hnn.bs_from_tokens(n, tokens)
 
 
-def _fixed_vertex_search(n: int, tree: hnn.TreeAut):
-    """A fixed vertex of a finite-order tree automorphism, if any exists.
+def _fixed_vertex_search(n: int, tree: hnn.TreeAut, radius: int | None = None):
+    """The fixed vertex nearest the base vertex, if any, and the ball searched.
 
     The closest fixed point to the base vertex sits at half its displacement,
-    and the fixed set is convex, so searching that radius is conclusive.
+    and the fixed set is convex, so searching that radius is conclusive; a
+    given radius caps the search further.  Returns (key or None, ball order).
     """
     base = hnn.vertex_key(n, hnn.BS_IDENTITY)
-    image = tree.vertex_image(base)
-    d = len(image[2])
-    radius = (d + 1) // 2
-    order, _ = hnn.tree_ball(n, radius)
+    reach = (len(tree.vertex_image(base)[2]) + 1) // 2
+    if radius is not None:
+        reach = min(radius, reach)
+    order, _ = hnn.tree_ball(n, reach)
     for key in order:
         if tree.vertex_image(key) == key:
-            return key
-    return None
+            return key, order
+    return None, order
 
 
 def _fix_even(m: int, aut: ArtinAutomorphism, names):
@@ -571,7 +608,7 @@ def _fix_even(m: int, aut: ArtinAutomorphism, names):
 
     if cls.tag == "BG":
         if finite:
-            key = _fixed_vertex_search(n, cls.tree(n))
+            key, _ = _fixed_vertex_search(n, cls.tree(n))
             if key is not None:
                 h = hnn.bs_to_artin(n, hnn.vertex_rep(n, key), names)
                 gen = free_reduce(mul(h, ((names[0], 1), (names[1], 1)), inv(h)))
@@ -596,7 +633,7 @@ def _fix_even(m: int, aut: ArtinAutomorphism, names):
 
     # AG
     if finite:
-        key = _fixed_vertex_search(n, cls.tree(n))
+        key, _ = _fixed_vertex_search(n, cls.tree(n))
         if key is None:
             raise GraphError(
                 "NO_FIXED_VERTEX", "orientation-preserving finite order fixes a vertex"

@@ -79,13 +79,18 @@ def bs_inv(n: int, element: BSElement) -> BSElement:
     return bs_from_tokens(n, _inv_tokens(bs_tokens(element)))
 
 
-def bs_pow(n: int, element: BSElement, k: int) -> BSElement:
+def _push_power(n: int, e0: int, syls: list[Syllable], tokens, k: int) -> tuple[int, list]:
+    """Push the tokens k times, or their inverses -k times, into the accumulator."""
     if k < 0:
-        element, k = bs_inv(n, element), -k
-    out = BS_IDENTITY
+        tokens, k = _inv_tokens(tokens), -k
     for _ in range(k):
-        out = bs_mul(n, out, element)
-    return out
+        e0, syls = _push_tokens(n, e0, syls, tokens)
+    return e0, syls
+
+
+def bs_pow(n: int, element: BSElement, k: int) -> BSElement:
+    e0, syls = _push_power(n, 0, [], bs_tokens(element), k)
+    return (e0, tuple(syls))
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +190,12 @@ class BSAut:
     t_img: BSElement
 
     def apply(self, element: BSElement) -> BSElement:
-        out = BS_IDENTITY
+        """The image, folded token by token into one normal-form accumulator."""
+        images = {"x": bs_tokens(self.x_img), "t": bs_tokens(self.t_img)}
+        e0, syls = 0, []
         for kind, val in bs_tokens(element):
-            img = self.x_img if kind == "x" else self.t_img
-            out = bs_mul(self.n, out, bs_pow(self.n, img, val))
-        return out
+            e0, syls = _push_power(self.n, e0, syls, images[kind], val)
+        return (e0, tuple(syls))
 
 
 def bs_psi(n: int, tag: str) -> BSAut:

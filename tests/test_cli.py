@@ -246,3 +246,15 @@ def test_single_edge_header_omits_search_len(capsys):
     assert "budgets     {'budget': 100000}" in out
     code, out = run(capsys, ["fix-gens", *argv, "--format", "json"])
     assert json.loads(out)["budgets"] == {}
+
+
+def test_dihedral_tree_large_radius_axis(capsys):
+    # the fixed axis is grown from the base vertex: no scan of the radius-40
+    # ball, with its 2 * 3^40 - 1 vertices, would finish
+    argv = ["dihedral", "tree", "--m", "4", "--aut", "graph a>b b>a ; invert",
+            "--radius", "40", "--format", "json"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["fixed_vertices"]) == 81
+    assert data["midpoints"] == []

@@ -309,3 +309,110 @@ def test_normal_form_matches_oracle_on_word_pairs():
                 verdict = word_equal(graph, u, v)
                 assert not verdict.is_unknown
                 assert verdict.is_equal == (nf_key(m, u) == nf_key(m, v))
+
+
+def _scanned_tree_fixed_set(n, aut, radius):
+    """Fixed vertices and inverted midpoints by scanning the whole radius ball."""
+    tree = outer_class(2 * n, aut).tree(n)
+    order, _ = hnn.tree_ball(n, radius)
+    fixed = {key for key in order if tree.vertex_image(key) == key}
+    midpoints = set()
+    for key in order:
+        rep = hnn.vertex_rep(n, key)
+        for i in range(n):
+            g = hnn.bs_mul(n, rep, hnn.bs_from_tokens(n, [("x", i)]))
+            ekey = hnn.edge_key(n, g)
+            if tree.edge_image(g) != ekey:
+                continue
+            top = hnn.vertex_key(n, hnn.bs_mul(n, g, hnn.bs_from_tokens(n, [("t", 1)])))
+            bottom = hnn.vertex_key(n, g)
+            if tree.vertex_image(bottom) == top and tree.vertex_image(top) == bottom:
+                midpoints.add(ekey)
+    return fixed, midpoints
+
+
+def test_grown_tree_fixed_set_matches_ball_scan():
+    from artinfix.words import free_reduce
+
+    rng = random.Random(23)
+    kinds = {"whole": 0, "axis": 0, "midpoint": 0, "empty": 0}
+    for n in (2, 3, 4):
+        m = 2 * n
+        delta = format_word(delta_word(m))
+        dsls = [
+            "", f"conj {delta}", "graph a>b b>a", "invert", "graph a>b b>a ; invert",
+            "conj a", "conj a b", "conj a b ; invert", "conj a ; graph a>b b>a",
+            "conj a ; graph a>b b>a ; invert", "conj a b- a b",
+        ]
+        letters = [(x, s) for x in "ab" for s in (1, -1)]
+        for _ in range(12):
+            w = format_word(free_reduce(rng.choices(letters, k=rng.randint(1, 5))))
+            parts = [f"conj {w}"] if w else []
+            parts += ["graph a>b b>a"] if rng.random() < 0.5 else []
+            parts += ["invert"] if rng.random() < 0.5 else []
+            dsls.append(" ; ".join(parts))
+        for dsl in dsls:
+            aut = AUT(m, dsl)
+            # the reference scan of a radius-5 ball takes 0.5 s a case for
+            # n = 3 and 3-5 s for n = 4, so those radii see fewer cases
+            wide = n == 2 or (n == 3 and dsl in ("", "graph a>b b>a", "conj a b- a b"))
+            for radius in (0, 1, 3) + ((5,) if wide else ()):
+                fs = tree_fixed_set(n, aut, radius)
+                assert (set(fs.vertices), set(fs.midpoints)) == _scanned_tree_fixed_set(
+                    n, aut, radius
+                ), (n, dsl, radius)
+                if radius == 3:
+                    order, _ = hnn.tree_ball(n, radius)
+                    kind = (
+                        "whole" if len(fs.vertices) == len(order)
+                        else "axis" if fs.vertices
+                        else "midpoint" if fs.midpoints
+                        else "empty"
+                    )
+                    kinds[kind] += 1
+    # identity and central conjugation, midpoint-only and hyperbolic cases all occur
+    assert all(kinds.values()), kinds
+
+
+def test_folded_brute_fixed_matches_per_word_images():
+    from artinfix.garside import engine
+
+    def reference(m, aut, length):
+        eng = engine(m)
+        out = []
+        for elt, word_idx in eng.ball(length).items():
+            word = tuple(("ab"[i], s) for i, s in word_idx)
+            image = aut(word)
+            if eng.from_letters([("ab".index(x), s) for x, s in image]) == elt:
+                out.append((len(word_idx), word_idx, word))
+        return [w for _, _, w in sorted(out)]
+
+    for m in (3, 4, 5, 6):
+        delta = format_word(delta_word(m))
+        for dsl in ("", "invert", f"conj {delta}", "conj a b ; invert",
+                    "conj a ; graph a>b b>a ; invert", "conj b- a b a ; graph a>b b>a"):
+            aut = AUT(m, dsl)
+            assert brute_fixed(m, aut, 6) == reference(m, aut, 6), (m, dsl)
+
+
+def test_commuting_pair_subgroup_ball_matches_double_power_loop():
+    from artinfix.garside import engine
+
+    for m, gens in (
+        (4, ("a b", "a b a b")),
+        (4, ("b", "a b a b")),
+        (5, ("a b a b a b a b a b", "a b")),
+        (6, ("a b a b a b", "b a b- a-")),
+    ):
+        eng = engine(m)
+        words = tuple(parse_word(g) for g in gens)
+        keys = [nf_key(m, w) for w in words]
+        assert eng.mul(keys[0], keys[1]) == eng.mul(keys[1], keys[0])
+        ball = eng.ball(6)
+        expected = {
+            key
+            for i in range(-24, 25)
+            for j in range(-24, 25)
+            if (key := eng.mul(eng.pow(keys[0], i), eng.pow(keys[1], j))) in ball
+        }
+        assert subgroup_ball(m, words, 6) == expected, (m, gens)

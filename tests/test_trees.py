@@ -170,3 +170,38 @@ def test_vertex_rep_is_in_its_coset():
             rep = hnn.vertex_rep(n, key)
             diff = hnn.bs_mul(n, hnn.bs_inv(n, g), rep)
             assert not diff[1]  # rep differs from g by an <x>-power
+
+
+def _bs_pow_reference(n, element, k):
+    """Powers by repeated bs_mul, each step re-tokenising the accumulator."""
+    if k < 0:
+        element, k = hnn.bs_inv(n, element), -k
+    out = hnn.BS_IDENTITY
+    for _ in range(k):
+        out = hnn.bs_mul(n, out, element)
+    return out
+
+
+def _apply_reference(aut, element):
+    """BSAut.apply by repeated bs_mul of the raised generator images."""
+    out = hnn.BS_IDENTITY
+    for kind, val in hnn.bs_tokens(element):
+        img = aut.x_img if kind == "x" else aut.t_img
+        out = hnn.bs_mul(aut.n, out, _bs_pow_reference(aut.n, img, val))
+    return out
+
+
+def test_linear_fold_matches_repeated_multiplication():
+    rng = random.Random(12)
+    for n in (2, 3, 4):
+        for _ in range(50):
+            a = hnn.bs_from_tokens(n, _rand_tokens(rng, 8))
+            for k in (-4, -1, 0, 1, 2, 5):
+                assert hnn.bs_pow(n, a, k) == _bs_pow_reference(n, a, k)
+            w = hnn.bs_from_tokens(n, _rand_tokens(rng, 4))
+            auts = [
+                hnn.bs_inner_psi(n, w, tag) for tag in ("ID", "AB", "BG", "AG")
+            ] + [hnn.BSAut(n, w, hnn.bs_from_tokens(n, _rand_tokens(rng, 3)))]
+            for aut in auts:
+                assert aut.apply(a) == _apply_reference(aut, a)
+            assert auts[0].apply(hnn.BS_IDENTITY) == hnn.BS_IDENTITY
