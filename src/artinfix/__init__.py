@@ -6,9 +6,10 @@ The package computes, for an automorphism built from inner automorphisms,
 label-preserving graph automorphisms, and the global inversion, the
 isomorphism type of its fixed subgroup together with explicit generators and
 per-generator fixedness certificates.  Equality of words is exact on
-two-generator fragments (Garside, Britton, and amalgam normal forms) and
-budgeted elsewhere; whenever a budget runs out the answer is an explicit
-UNKNOWN, never a guess.
+two-generator fragments, through Garside normal forms; the Britton and
+amalgam normal forms serve their tree geometry.  Elsewhere equality is
+budgeted, and whenever a budget runs out the answer is an explicit UNKNOWN,
+never a guess.
 """
 
 from .classifier import (

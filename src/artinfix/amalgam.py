@@ -17,6 +17,7 @@ at most one syllable, and translation lengths are syllable counts.
 
 from __future__ import annotations
 
+from .presentation import GraphError
 from .words import Word, free_reduce
 
 Syl = tuple[str, int]  # ("x", 1) or ("y", e) with 1 <= e <= m-1
@@ -83,7 +84,7 @@ def am_from_artin(m: int, word: Word, names: tuple[str, str]) -> AmElement:
             # b = x y^-n
             tokens.extend([("x", 1), ("y", -n)] if sign > 0 else [("y", n), ("x", -1)])
         else:
-            raise ValueError(f"letter {name} not on edge {names}")
+            raise GraphError("UNKNOWN_GENERATOR", f"letter {name} not on edge {names}")
     return am_from_tokens(m, tokens)
 
 

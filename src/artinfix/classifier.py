@@ -39,6 +39,7 @@ from itertools import combinations
 
 from .dihedral import (
     center_word,
+    centralizer_class,
     delta_word,
     dihedral_centralizer,
     dihedral_fix,
@@ -196,7 +197,7 @@ def _conjugate_into_dihedral(psi: ArtinAutomorphism, z: Word, search_len: int, b
     graph = psi.graph
     pairs = [
         (s, t)
-        for s, t, _ in graph.finite_edges()
+        for s, t, _ in graph.edge_list
         if {psi.perm(s), psi.perm(t)} == {s, t}
     ]
     for h in _candidate_words(graph, search_len):
@@ -655,11 +656,7 @@ def classify(aut: ArtinAutomorphism, search_len: int = 4) -> FixReport:
         if case.tag == "TYPE1_TREE":
             fix_class = normalize_class("Z_CROSS_F", len(case.generators) - 1)
         elif case.tag == "TYPE2_VERTEX":
-            fix_class = {
-                "CENTRAL": normalize_class("ARTIN", 0, case.edge, has_edges=True),
-                "ELLIPTIC_Z": normalize_class("Z"),
-                "HYPERBOLIC_Z2": normalize_class("Z2"),
-            }[case.subtag]
+            fix_class = centralizer_class(case.subtag, case.edge)
         else:
             fix_class = normalize_class(
                 {

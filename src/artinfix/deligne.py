@@ -307,7 +307,7 @@ def build_ball(
                 for s in graph.vertices:
                     gen_vids[s] = add_vertex(w, (s,), depth)
                     connect(w, (s,), cur)
-                for s, t, m in graph.finite_edges():
+                for s, t, m in graph.edge_list:
                     pair_vid = add_vertex(w, (s, t), depth)
                     connect(w, (s, t), cur)
                     # sibling inclusions w<s> < wA_st complete the triangles

@@ -10,10 +10,20 @@ goes by its outer class in tree coordinates:
   even m = 2n:  sigma = conj_t . BG,  iota = conj_t . AB,  sigma iota = AG,
   odd  m:       sigma is inner (conjugation by the Garside element),
 
-after which finite order is equivalent to the squared inner part acting
-elliptically, and each case has a closed-form fixed subgroup: the whole
-group, {1}, Z generated by a vertex generator or a twisted product, or Z^2
-given by a minimal axis element together with the centre.
+and dispatches as follows.  Finite order is equivalent to the squared inner
+part acting elliptically.
+
+  inner (ID, or odd m without iota): Fix(conj_w) = C(w), from the one
+      centraliser: the whole group for central w, Z for elliptic w (the
+      conjugated vertex stabiliser), Z^2 for hyperbolic w (a minimal axis
+      element together with the centre);
+  inversion (AB, or odd m with iota): {1} at finite order, else Z generated
+      by a root of the twisted product g . sigma iota(g);
+  BG: at finite order Z, the conjugated stabiliser of a fixed vertex, or the
+      centre when only an inverted edge midpoint is fixed; else Z^2, the
+      centraliser of the squared inner part;
+  AG: at finite order Z, the axis generator picked by the residual power
+      at a fixed vertex; else the root of the twisted product, as for AB.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from . import amalgam as am
 from . import hnn
 from .garside import IDENTITY, engine
 from .presentation import DefiningGraph, GraphError, validate_graph
-from .report import FixReport, certified_report, normalize_class
+from .report import FixClass, FixReport, certified_report, normalize_class
 from .words import (
     ArtinAutomorphism,
     Word,
@@ -102,39 +112,31 @@ def convert(m: int, word: Word, direction: str, names: tuple[str, str] = DEFAULT
     Directions "artin_to_bs"/"bs_to_artin" require even m and use letters
     x, t; "artin_to_torus"/"torus_to_artin" require odd m and use x, y.
     """
-    if direction in ("artin_to_bs", "bs_to_artin"):
-        if m % 2:
-            raise GraphError("PARITY_MISMATCH", "the HNN form needs even m")
-        n = m // 2
-        if direction == "artin_to_bs":
-            elt = hnn.bs_from_artin(n, word, names)
-            out = []
-            for kind, val in hnn.bs_tokens(elt):
-                out.extend([(kind, 1 if val > 0 else -1)] * abs(val))
-            return free_reduce(out)
-        tokens = []
-        for name, sign in word:
-            if name not in ("x", "t"):
-                raise GraphError("UNKNOWN_GENERATOR", f"{name} not in x, t")
-            tokens.append((name, sign))
-        return hnn.bs_to_artin(n, hnn.bs_from_tokens(n, tokens), names)
-    if direction in ("artin_to_torus", "torus_to_artin"):
-        if m % 2 == 0:
-            raise GraphError("PARITY_MISMATCH", "the amalgam form needs odd m")
-        if direction == "artin_to_torus":
-            elt = am.am_from_artin(m, word, names)
-            c, syls = elt
-            out = [("y", 1 if c > 0 else -1)] * (abs(c) * m)
-            for kind, e in syls:
-                out.extend([(kind, 1 if e > 0 else -1)] * abs(e))
-            return free_reduce(out)
-        tokens = []
-        for name, sign in word:
-            if name not in ("x", "y"):
-                raise GraphError("UNKNOWN_GENERATOR", f"{name} not in x, y")
-            tokens.append((name, sign))
-        return am.am_to_artin(m, am.am_from_tokens(m, tokens), names)
-    raise GraphError("PARSE", f"unknown direction {direction}")
+    if direction not in ("artin_to_bs", "bs_to_artin", "artin_to_torus", "torus_to_artin"):
+        raise GraphError("PARSE", f"unknown direction {direction}")
+    even = direction in ("artin_to_bs", "bs_to_artin")
+    if (m % 2 == 0) != even:
+        raise GraphError(
+            "PARITY_MISMATCH", "the HNN form needs even m" if even else "the amalgam form needs odd m"
+        )
+    n = m // 2
+    if direction.startswith("artin_to"):
+        if even:
+            tokens = hnn.bs_tokens(hnn.bs_from_artin(n, word, names))
+        else:
+            c, syls = am.am_from_artin(m, word, names)
+            tokens = [("y", c * m), *syls]
+        out = []
+        for kind, val in tokens:
+            out.extend([(kind, 1 if val > 0 else -1)] * abs(val))
+        return free_reduce(out)
+    letters = ("x", "t") if even else ("x", "y")
+    for name, _ in word:
+        if name not in letters:
+            raise GraphError("UNKNOWN_GENERATOR", f"{name} not in {', '.join(letters)}")
+    if even:
+        return hnn.bs_to_artin(n, hnn.bs_from_tokens(n, word), names)
+    return am.am_to_artin(m, am.am_from_tokens(m, word), names)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +147,6 @@ def convert(m: int, word: Word, direction: str, names: tuple[str, str] = DEFAULT
 class BSAutClass:
     tag: str  # "ID" | "AB" | "BG" | "AG"
     inner: hnn.BSElement  # w with the automorphism equal to conj_w . tag
-
-    def aut(self, n: int) -> hnn.BSAut:
-        return hnn.bs_inner_psi(n, self.inner, self.tag)
 
     def tree(self, n: int) -> hnn.TreeAut:
         return hnn.TreeAut(
@@ -219,6 +218,18 @@ class TreeFixedSet:
         return tuple(sorted(self.vertices))
 
 
+def _edges_up(n: int, key):
+    """(edge coset g, edge key, top vertex) for the n edges whose bottom vertex is key.
+
+    The edge g<x^n>, g = rep . x^i, runs from g<x> = key to gt<x>.
+    """
+    rep = hnn.vertex_rep(n, key)
+    t = hnn.bs_from_tokens(n, [("t", 1)])
+    for i in range(n):
+        g = hnn.bs_mul(n, rep, hnn.bs_from_tokens(n, [("x", i)]))
+        yield g, hnn.edge_key(n, g), hnn.vertex_key(n, hnn.bs_mul(n, g, t))
+
+
 def tree_fixed_set(
     n: int, aut: ArtinAutomorphism, radius: int, names: tuple[str, str] = DEFAULT_NAMES
 ) -> TreeFixedSet:
@@ -232,18 +243,17 @@ def tree_fixed_set(
     no edge, so midpoints are looked for only when none is fixed, among the
     edges of that same near ball; as everywhere here, an edge counts when its
     bottom vertex (the coset g<x> of the edge coset g<x^n>) lies in the ball.
+    Without a fixed vertex an edge is inverted only when d is odd: the
+    midpoint p of an inverted edge is fixed and sits half an edge off the
+    vertices, so d = 2 d(base, p) is odd.  For even d the pass is skipped.
     """
     tree = outer_class(2 * n, aut, names).tree(n)
-    start, near = _fixed_vertex_search(n, tree, radius)
-    midpoints = set()
+    start, near, d = _fixed_vertex_search(n, tree, radius)
     if start is None:
-        for key in near:
+        midpoints = set()
+        for key in near if d % 2 else ():  # even d: no edge is inverted
             image = tree.vertex_image(key)
-            rep = hnn.vertex_rep(n, key)
-            for i in range(n):
-                g = hnn.bs_mul(n, rep, hnn.bs_from_tokens(n, [("x", i)]))
-                top = hnn.vertex_key(n, hnn.bs_mul(n, g, hnn.bs_from_tokens(n, [("t", 1)])))
-                ekey = hnn.edge_key(n, g)
+            for g, ekey, top in _edges_up(n, key):
                 if image == top and tree.vertex_image(top) == key and tree.edge_image(g) == ekey:
                     midpoints.add(ekey)
         return TreeFixedSet(n, radius, frozenset(), frozenset(midpoints))
@@ -270,16 +280,8 @@ def tree_dot(fs: TreeFixedSet) -> str:
     for key in order:
         style = ' style=filled fillcolor="gold"' if key in fs.vertices else ""
         lines.append(f'  v{idx[key]} [label="{key[1]},{key[2]}"{style}];')
-    seen = set()
-    for key in order:
-        rep = hnn.vertex_rep(n, key)
-        for i in range(n):
-            g = hnn.bs_mul(n, rep, hnn.bs_from_tokens(n, [("x", i)]))
-            ekey = hnn.edge_key(n, g)
-            if ekey in seen:
-                continue
-            seen.add(ekey)
-            top = hnn.vertex_key(n, hnn.bs_mul(n, g, hnn.bs_from_tokens(n, [("t", 1)])))
+    for key in order:  # each edge is listed once, from its bottom vertex
+        for _, ekey, top in _edges_up(n, key):
             if top in idx:
                 mid = ' color="red"' if ekey in fs.midpoints else ""
                 lines.append(f"  v{idx[key]} -> v{idx[top]} [{mid.strip()}];")
@@ -440,38 +442,58 @@ def _axis_minimal(m: int, w: Word, names):
     return cand, ell, proven
 
 
+def _centralizer(m: int, g: Word, names):
+    """C(g) by the action of g on the tree: (kind, generators, exact, witness, translation).
+
+    kind is CENTRAL (the whole group), ELLIPTIC_Z (the stabiliser of the
+    fixed vertex, conjugated by the witness h) or HYPERBOLIC_Z2 (a minimal
+    axis element and the centre, with the axis translation; exact when that
+    element is provably minimal).  Witness and translation are () and None
+    where they do not apply.
+    """
+    whole = (((names[0], 1),), ((names[1], 1),))
+    ab = ((names[0], 1), (names[1], 1))
+    core = None
+    if m % 2 == 0:
+        n = m // 2
+        e = hnn.bs_from_artin(n, g, names)
+        if hnn.bs_is_central(n, e):
+            return "CENTRAL", whole, True, (), None
+        data = hnn.bs_elliptic_data(n, e)
+        if data is not None:
+            h = hnn.bs_to_artin(n, data[0], names)
+            core = ab
+    else:
+        e = am.am_from_artin(m, g, names)
+        if am.am_is_central(m, e):
+            return "CENTRAL", whole, True, (), None
+        data = am.am_elliptic_data(m, e)
+        if data is not None and data[1] != "z":
+            h = am.am_to_artin(m, data[0], names)
+            core = delta_word(m, names) if data[1] == "x" else ab
+    if core is not None:
+        return "ELLIPTIC_Z", (free_reduce(mul(h, core, inv(h))),), True, h, None
+    axis, ell, proven = _axis_minimal(m, g, names)
+    return "HYPERBOLIC_Z2", (axis, center_word(m, names)), proven, (), ell
+
+
+def centralizer_class(kind: str, names) -> FixClass:
+    """The fixed-subgroup class of a centraliser kind from _centralizer."""
+    if kind == "CENTRAL":
+        return normalize_class("ARTIN", 0, names, has_edges=True)
+    return normalize_class("Z" if kind == "ELLIPTIC_Z" else "Z2")
+
+
 def dihedral_centralizer(m: int, g: Word, names: tuple[str, str] = DEFAULT_NAMES):
     """Centralizer of a nontrivial element: (tag, generators, exact, note)."""
     g = free_reduce(g)
     if not g:
         raise GraphError("TRIVIAL_ELEMENT", "the identity has the whole group")
-    delta = delta_word(m, names)
-    zc = center_word(m, names)
-    if m % 2 == 0:
-        n = m // 2
-        e = hnn.bs_from_artin(n, g, names)
-        if hnn.bs_is_central(n, e):
-            return "CENTRAL", (((names[0], 1),), ((names[1], 1),)), True, "central element"
-        data = hnn.bs_elliptic_data(n, e)
-        if data is not None:
-            conj, _ = data
-            h = hnn.bs_to_artin(n, conj, names)
-            gen = mul(h, ((names[0], 1), (names[1], 1)), inv(h))
-            return "ELLIPTIC_Z", (free_reduce(gen),), True, "vertex stabiliser"
-        axis, ell, proven = _axis_minimal(m, g, names)
-        return "HYPERBOLIC_Z2", (axis, delta), proven, f"axis translation {ell}"
-    e = am.am_from_artin(m, g, names)
-    if am.am_is_central(m, e):
-        return "CENTRAL", (((names[0], 1),), ((names[1], 1),)), True, "central element"
-    data = am.am_elliptic_data(m, e)
-    if data is not None and data[1] != "z":
-        conj, kind, _ = data
-        h = am.am_to_artin(m, conj, names)
-        core = delta if kind == "x" else ((names[0], 1), (names[1], 1))
-        gen = mul(h, core, inv(h))
-        return "ELLIPTIC_Z", (free_reduce(gen),), True, "vertex stabiliser"
-    axis, ell, proven = _axis_minimal(m, g, names)
-    return "HYPERBOLIC_Z2", (axis, zc), proven, f"axis translation {ell}"
+    kind, gens, exact, _, ell = _centralizer(m, g, names)
+    note = {"CENTRAL": "central element", "ELLIPTIC_Z": "vertex stabiliser"}.get(
+        kind, f"axis translation {ell}"
+    )
+    return kind, gens, exact, note
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +513,8 @@ def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names, search: int 
     z0 = free_reduce(z0)
     candidates = fixed + ([z0] if z0 not in fixed else [])
     targets = {eng.from_letters(_to_indices(w, names)) for w in candidates}
-
-    def gen_ok(r: Word) -> bool:
-        rkey = eng.from_letters(_to_indices(r, names))
-        seen = {(0, ())}
-        for sign in (1, -1):
-            acc = (0, ())
-            step = rkey if sign > 0 else eng.inv(rkey)
-            for _ in range(64):
-                acc = eng.mul(acc, step)
-                seen.add(acc)
-        return targets <= seen
-
     for r in candidates:
-        if gen_ok(r):
+        if targets <= set(_powers(eng, eng.from_letters(_to_indices(r, names)), 64)):
             ell = tree_translation(m, r, names)
             if m % 2 == 1:
                 exact = ell == 2
@@ -520,6 +530,13 @@ def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names, search: int 
                 note = f"no proper root within the length-{search} ball"
             return r, exact, note
     return z0, False, "fixed elements in the ball are not all powers of one element"
+
+
+def _twisted_root(m: int, aut: ArtinAutomorphism, names, notes=()):
+    """Fix of an infinite-order AB, AG or odd inversion: Z, by a root of g . sigma iota(g)."""
+    g = aut.conj
+    gen, exact, note = _refine_cyclic(m, aut, mul(g, aut.graph_part(g)), names)
+    return normalize_class("Z"), (gen,), exact, (), notes + (note,)
 
 
 # ---------------------------------------------------------------------------
@@ -553,75 +570,42 @@ def _fixed_vertex_search(n: int, tree: hnn.TreeAut, radius: int | None = None):
 
     The closest fixed point to the base vertex sits at half its displacement,
     and the fixed set is convex, so searching that radius is conclusive; a
-    given radius caps the search further.  Returns (key or None, ball order).
+    given radius caps the search further.  Returns (key or None, ball order,
+    the base's displacement).
     """
     base = hnn.vertex_key(n, hnn.BS_IDENTITY)
-    reach = (len(tree.vertex_image(base)[2]) + 1) // 2
-    if radius is not None:
-        reach = min(radius, reach)
+    d = len(tree.vertex_image(base)[2])
+    reach = (d + 1) // 2 if radius is None else min(radius, (d + 1) // 2)
     order, _ = hnn.tree_ball(n, reach)
     for key in order:
         if tree.vertex_image(key) == key:
-            return key, order
-    return None, order
+            return key, order, d
+    return None, order, d
+
+
+def _fix_inner(m: int, w: Word, names, central_note: str):
+    """Fix(conj_w) = C(w), with w central, elliptic or hyperbolic."""
+    kind, gens, exact, witness, ell = _centralizer(m, w, names)
+    notes = {"CENTRAL": (central_note,), "ELLIPTIC_Z": ()}.get(
+        kind, (f"axis element of translation length {ell}",)
+    )
+    return centralizer_class(kind, names), gens, exact, witness, notes
 
 
 def _fix_even(m: int, aut: ArtinAutomorphism, names):
     n = m // 2
     cls = outer_class(m, aut, names)
-    delta = delta_word(m, names)
-    g = aut.conj
-
     if cls.tag == "ID":
-        w = cls.inner
-        if hnn.bs_is_central(n, w):
-            return (
-                normalize_class("ARTIN", 0, names, has_edges=True),
-                (((names[0], 1),), ((names[1], 1),)),
-                True,
-                (),
-                ("inner by a central element: the identity automorphism",),
-            )
-        data = hnn.bs_elliptic_data(n, w)
-        if data is not None:
-            conj, _ = data
-            h = hnn.bs_to_artin(n, conj, names)
-            gen = free_reduce(mul(h, ((names[0], 1), (names[1], 1)), inv(h)))
-            return normalize_class("Z"), (gen,), True, h, ()
-        axis, ell, proven = _axis_minimal(m, g, names)
-        return (
-            normalize_class("Z2"),
-            (axis, delta),
-            proven,
-            (),
-            (f"axis element of translation length {ell}",),
-        )
+        return _fix_inner(m, aut.conj, names, "inner by a central element: the identity automorphism")
 
     finite = is_finite_order(m, aut, names)
-
+    if cls.tag in ("AB", "AG") and not finite:
+        return _twisted_root(m, aut, names)
     if cls.tag == "AB":
-        if finite:
-            return normalize_class("TRIVIAL"), (), True, (), ()
-        z0 = mul(g, aut.graph_part(g))
-        gen, exact, note = _refine_cyclic(m, aut, z0, names)
-        return normalize_class("Z"), (gen,), exact, (), (note,)
-
-    if cls.tag == "BG":
-        if finite:
-            key, _ = _fixed_vertex_search(n, cls.tree(n))
-            if key is not None:
-                h = hnn.bs_to_artin(n, hnn.vertex_rep(n, key), names)
-                gen = free_reduce(mul(h, ((names[0], 1), (names[1], 1)), inv(h)))
-                return normalize_class("Z"), (gen,), True, h, ()
-            return (
-                normalize_class("Z"),
-                (delta,),
-                True,
-                (),
-                ("only an inverted edge midpoint is fixed",),
-            )
-        h0 = _squared_inner(n, cls)
-        h0_artin = hnn.bs_to_artin(n, h0, names)
+        return normalize_class("TRIVIAL"), (), True, (), ()
+    delta = delta_word(m, names)
+    if not finite:  # BG
+        h0_artin = hnn.bs_to_artin(n, _squared_inner(n, cls), names)
         axis, ell, proven = _axis_minimal(m, h0_artin, names)
         return (
             normalize_class("Z2"),
@@ -631,75 +615,52 @@ def _fix_even(m: int, aut: ArtinAutomorphism, names):
             (f"centraliser of the squared inner part, axis translation {ell}",),
         )
 
-    # AG
-    if finite:
-        key, _ = _fixed_vertex_search(n, cls.tree(n))
-        if key is None:
+    # finite BG or AG: read Fix off the fixed vertex nearest the base
+    key, _, _ = _fixed_vertex_search(n, cls.tree(n))
+    if key is None:
+        if cls.tag == "AG":
             raise GraphError(
                 "NO_FIXED_VERTEX", "orientation-preserving finite order fixes a vertex"
             )
-        rep = hnn.vertex_rep(n, key)
-        u = hnn.bs_mul(n, hnn.bs_inv(n, rep), cls.inner, hnn.bs_psi(n, "AG").apply(rep))
-        if u[1]:
-            raise GraphError(
-                "BASE_VERTEX_MOVED", "the reduced automorphism must fix the base vertex"
-            )
-        k = u[0]
-        s = _alpha_gamma_axis(n, k)
-        h = hnn.bs_to_artin(n, rep, names)
-        gen = free_reduce(mul(h, hnn.bs_to_artin(n, s, names), inv(h)))
         return (
             normalize_class("Z"),
-            (gen,),
+            (delta,),
             True,
-            h,
-            (f"axis generator for residual power k={k}, n={n}",),
+            (),
+            ("only an inverted edge midpoint is fixed",),
         )
-    z0 = mul(g, aut.graph_part(g))
-    gen, exact, note = _refine_cyclic(m, aut, z0, names)
-    return normalize_class("Z"), (gen,), exact, (), (note,)
+    rep = hnn.vertex_rep(n, key)
+    h = hnn.bs_to_artin(n, rep, names)
+    if cls.tag == "BG":
+        gen = free_reduce(mul(h, ((names[0], 1), (names[1], 1)), inv(h)))
+        return normalize_class("Z"), (gen,), True, h, ()
+    u = hnn.bs_mul(n, hnn.bs_inv(n, rep), cls.inner, hnn.bs_psi(n, "AG").apply(rep))
+    if u[1]:
+        raise GraphError(
+            "BASE_VERTEX_MOVED", "the reduced automorphism must fix the base vertex"
+        )
+    k = u[0]
+    s = _alpha_gamma_axis(n, k)
+    gen = free_reduce(mul(h, hnn.bs_to_artin(n, s, names), inv(h)))
+    return (
+        normalize_class("Z"),
+        (gen,),
+        True,
+        h,
+        (f"axis generator for residual power k={k}, n={n}",),
+    )
 
 
 def _fix_odd(m: int, aut: ArtinAutomorphism, names):
-    delta = delta_word(m, names)
-    zc = center_word(m, names)
     g, sigma, inversion = _split_aut(aut)
-    w = mul(g, delta) if sigma else g
     notes = ("odd coefficient: the graph swap is inner by the Garside element",) if sigma else ()
-
-    if not inversion:
-        e = am.am_from_artin(m, w, names)
-        if am.am_is_central(m, e):
-            return (
-                normalize_class("ARTIN", 0, names, has_edges=True),
-                (((names[0], 1),), ((names[1], 1),)),
-                True,
-                (),
-                notes + ("inner by a central element",),
-            )
-        data = am.am_elliptic_data(m, e)
-        if data is not None and data[1] != "z":
-            conj, kind, _ = data
-            h = am.am_to_artin(m, conj, names)
-            core = delta if kind == "x" else ((names[0], 1), (names[1], 1))
-            gen = free_reduce(mul(h, core, inv(h)))
-            return normalize_class("Z"), (gen,), True, h, notes
-        axis, ell, proven = _axis_minimal(m, w, names)
-        return (
-            normalize_class("Z2"),
-            (axis, zc),
-            proven,
-            (),
-            notes + (f"axis element of translation length {ell}",),
-        )
-
-    iota_w = tuple((nm, -sg) for nm, sg in w)
-    h0 = am.am_mul(m, am.am_from_artin(m, w, names), am.am_from_artin(m, iota_w, names))
-    if am.am_is_elliptic(m, h0):
-        return normalize_class("TRIVIAL"), (), True, (), notes
-    z0 = mul(g, aut.graph_part(g))
-    gen, exact, note = _refine_cyclic(m, aut, z0, names)
-    return normalize_class("Z"), (gen,), exact, (), notes + (note,)
+    if inversion:
+        if is_finite_order(m, aut, names):
+            return normalize_class("TRIVIAL"), (), True, (), notes
+        return _twisted_root(m, aut, names, notes)
+    w = mul(g, delta_word(m, names)) if sigma else g
+    fix_class, gens, exact, witness, inner_notes = _fix_inner(m, w, names, "inner by a central element")
+    return fix_class, gens, exact, witness, notes + inner_notes
 
 
 def dihedral_fix(

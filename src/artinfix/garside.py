@@ -217,11 +217,13 @@ def engine(m: int) -> DihedralEngine:
 
 @lru_cache(maxsize=None)
 def _ball_dict(m: int, radius: int) -> dict:
-    return dict(_ball_cached(m, radius))
+    """The radius ball in sorted element order, each element mapped to a geodesic word.
 
-
-@lru_cache(maxsize=None)
-def _ball_cached(m: int, radius: int):
+    The ball grows one letter at a time and keeps the first word found for
+    each element, so every stored word extends, by its last letter, the
+    stored word of an element one letter shorter; brute_fixed's fold of
+    images along the stored words relies on this.
+    """
     eng = engine(m)
     found: dict[Element, tuple] = {IDENTITY: ()}
     frontier: list[tuple[Element, tuple]] = [(IDENTITY, ())]
@@ -239,4 +241,4 @@ def _ball_cached(m: int, radius: int):
                         found[new_elt] = new_word
                         next_frontier.append((new_elt, new_word))
         frontier = next_frontier
-    return tuple(sorted(found.items()))
+    return dict(sorted(found.items()))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .presentation import GraphError
 from .words import Word, free_reduce
 
 Syllable = tuple[int, int]  # (sign of t, x-exponent residue)
@@ -106,7 +107,7 @@ def bs_from_artin(n: int, word: Word, names: tuple[str, str]) -> BSElement:
         elif name == b:
             tokens.append(("t", sign))
         else:
-            raise ValueError(f"letter {name} not on edge {names}")
+            raise GraphError("UNKNOWN_GENERATOR", f"letter {name} not on edge {names}")
     return bs_from_tokens(n, tokens)
 
 
@@ -275,9 +276,6 @@ class TreeAut:
     w: BSElement
     psi: BSAut
     reverses: bool = False
-
-    def element_image(self, g: BSElement) -> BSElement:
-        return bs_mul(self.n, self.w, self.psi.apply(g), bs_inv(self.n, self.w))
 
     def vertex_image(self, key: VertexKey) -> VertexKey:
         rep = vertex_rep(self.n, key)

@@ -129,7 +129,7 @@ class _OracleContext:
     """What the oracle derives from one graph, and the memos it fills."""
 
     def __init__(self, graph: DefiningGraph):
-        self.edges = graph.finite_edges()
+        self.edges = graph.edge_list
         # (x, y) -> (sorted pair, m) for both orders of every finite edge
         self.pairs: dict[tuple[str, str], tuple[tuple[str, str], int]] = {}
         for s, t, m in self.edges:

@@ -59,14 +59,6 @@ class DefiningGraph:
     def has_edge(self, u: str, v: str) -> bool:
         return self.coefficient(u, v) is not INFINITY
 
-    def finite_edges(self) -> tuple[tuple[str, str, int], ...]:
-        return self.edge_list
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(
-            w for w in self.vertices if w != v and self.has_edge(v, w)
-        )
-
     def induced(self, vertex_set) -> "DefiningGraph":
         vs = tuple(sorted(v for v in self.vertices if v in set(vertex_set)))
         es = tuple(
@@ -292,9 +284,6 @@ class OddComponentGraph:
 
     def betti(self) -> int:
         return len(self.edges) - len(self.nodes) + 1
-
-    def gen_nodes(self):
-        return tuple(n for n in self.nodes if n[0] == "g")
 
     def edge_nodes(self):
         return tuple(n for n in self.nodes if n[0] == "e")

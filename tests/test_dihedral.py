@@ -351,11 +351,13 @@ def test_grown_tree_fixed_set_matches_ball_scan():
             parts += ["graph a>b b>a"] if rng.random() < 0.5 else []
             parts += ["invert"] if rng.random() < 0.5 else []
             dsls.append(" ; ".join(parts))
+        # hyperbolic with even displacement d = 10: no midpoint can be inverted
+        dsls += ["conj b^10"] if n == 3 else []
         for dsl in dsls:
             aut = AUT(m, dsl)
             # the reference scan of a radius-5 ball takes 0.5 s a case for
             # n = 3 and 3-5 s for n = 4, so those radii see fewer cases
-            wide = n == 2 or (n == 3 and dsl in ("", "graph a>b b>a", "conj a b- a b"))
+            wide = n == 2 or (n == 3 and dsl in ("", "graph a>b b>a", "conj a b- a b", "conj b^10"))
             for radius in (0, 1, 3) + ((5,) if wide else ()):
                 fs = tree_fixed_set(n, aut, radius)
                 assert (set(fs.vertices), set(fs.midpoints)) == _scanned_tree_fixed_set(
@@ -416,3 +418,17 @@ def test_commuting_pair_subgroup_ball_matches_double_power_loop():
             if (key := eng.mul(eng.pow(keys[0], i), eng.pow(keys[1], j))) in ball
         }
         assert subgroup_ball(m, words, 6) == expected, (m, gens)
+
+
+def test_off_edge_letter_is_a_coded_error():
+    c = parse_word("c")
+    calls = (
+        lambda: convert(4, c, "artin_to_bs"),
+        lambda: convert(5, c, "artin_to_torus"),
+        lambda: dihedral_centralizer(4, c),
+        lambda: tree_translation(5, c),
+    )
+    for call in calls:
+        with pytest.raises(GraphError) as info:
+            call()
+        assert info.value.code == "UNKNOWN_GENERATOR"

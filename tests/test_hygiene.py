@@ -43,3 +43,41 @@ def test_no_module_level_mutable_containers():
             if targets != ["__all__"] and node.value is not None and _mutable_container(node.value):
                 hits.append(f"{path.name}:{node.lineno}")
     assert not hits, hits
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub.name
+
+
+def test_every_library_function_is_referenced():
+    # a definition that nothing in the library, the tests or the demos names is
+    # dead API; names are matched, not resolved, so a shared method name
+    # anywhere counts as a reference
+    root = Path(__file__).resolve().parents[1]
+    referenced = set()
+    for folder in ("src", "tests", "demos"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name.rsplit(".", 1)[-1])
+    exempt = {"_Parser.error"}  # argparse calls its own error hook
+    unreferenced = [
+        f"{path.name}:{qualname}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for qualname, name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if not (name.startswith("__") and name.endswith("__"))
+        and qualname not in exempt
+        and name not in referenced
+    ]
+    assert not unreferenced, unreferenced
