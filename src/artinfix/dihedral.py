@@ -248,11 +248,10 @@ def tree_fixed_set(
     vertices, so d = 2 d(base, p) is odd.  For even d the pass is skipped.
     """
     tree = outer_class(2 * n, aut, names).tree(n)
-    start, near, d = _fixed_vertex_search(n, tree, radius)
+    start, images, d = _fixed_vertex_search(n, tree, radius)
     if start is None:
         midpoints = set()
-        for key in near if d % 2 else ():  # even d: no edge is inverted
-            image = tree.vertex_image(key)
+        for key, image in images.items() if d % 2 else ():  # even d: no edge is inverted
             for g, ekey, top in _edges_up(n, key):
                 if image == top and tree.vertex_image(top) == key and tree.edge_image(g) == ekey:
                     midpoints.add(ekey)
@@ -570,17 +569,20 @@ def _fixed_vertex_search(n: int, tree: hnn.TreeAut, radius: int | None = None):
 
     The closest fixed point to the base vertex sits at half its displacement,
     and the fixed set is convex, so searching that radius is conclusive; a
-    given radius caps the search further.  Returns (key or None, ball order,
-    the base's displacement).
+    given radius caps the search further.  Returns (key or None, the image of
+    each vertex tried, in ball order, the base's displacement); with no fixed
+    vertex every vertex of the searched ball was tried.
     """
     base = hnn.vertex_key(n, hnn.BS_IDENTITY)
     d = len(tree.vertex_image(base)[2])
     reach = (d + 1) // 2 if radius is None else min(radius, (d + 1) // 2)
     order, _ = hnn.tree_ball(n, reach)
+    images = {}
     for key in order:
-        if tree.vertex_image(key) == key:
-            return key, order, d
-    return None, order, d
+        images[key] = image = tree.vertex_image(key)
+        if image == key:
+            return key, images, d
+    return None, images, d
 
 
 def _fix_inner(m: int, w: Word, names, central_note: str):

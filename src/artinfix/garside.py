@@ -10,6 +10,19 @@ sequence left weighted.  Two words represent the same group element exactly
 when their normal forms coincide, which makes this the complete equality
 backend for two-generator subgroups.
 
+Products are computed at the junction.  Proper simples u, v make a left
+weighted pair exactly when v starts with the letter u ends with: otherwise v
+starts with the letter that follows u in the alternating word, and u.v has a
+longer simple prefix.  So appending a proper simple (x, k) to a left weighted
+sequence ending in u does one of three things.  If x is u's last letter it
+concatenates.  Otherwise u absorbs letters of (x, k): if fewer than m - |u|
+are offered, u grows and stays proper, and its left neighbour's condition is
+unchanged because u keeps its first letter; else u completes to D, which
+moves to the front by conjugating the factors before it (conjugation by D
+maps left weighted sequences to left weighted ones), and the rest of (x, k)
+meets the new last factor.  Every step either ends or removes a factor, and
+each leaves a left weighted sequence, which by uniqueness is the normal form.
+
 Besides the normal form, the engine computes the canonical mixed spelling of
 an element (the shorter of its coprime left fraction A^-1 B and right
 fraction B A^-1, both spelled letter by letter) and enumerates balls of
@@ -38,94 +51,117 @@ class DihedralEngine:
         if m < 3:
             raise ValueError("large type requires m >= 3")
         self.m = m
-        self.delta: Simple = (0, m)  # either spelling; start 0 is canonical
 
     # -- simples ------------------------------------------------------------
     def simple_letters(self, s: Simple) -> tuple[int, ...]:
         start, length = s
         return tuple(_alt(start, i) for i in range(length))
 
-    def right_complement(self, s: Simple) -> Simple:
-        start, length = s
-        return (_alt(start, length), self.m - length)
-
     def left_complement(self, s: Simple) -> Simple:
         start, length = s
         first = start if (self.m - length) % 2 == 0 else 1 - start
         return (first, self.m - length)
 
-    def tau_simple(self, s: Simple, e: int = 1) -> Simple:
-        """Conjugation by D^e: identity for even m, generator swap for odd."""
-        if self.m % 2 == 0 or e % 2 == 0:
-            return s
-        return (1 - s[0], s[1])
+    # -- products from the junction ------------------------------------------
+    def _push(self, fs: list[Simple], c: int, x: int, k: int) -> tuple[int, int, bool]:
+        """Append the proper simple (x, k) to the left weighted factors fs, in place.
 
-    # -- normalization -------------------------------------------------------
-    def _normalize_factors(self, factors: list[Simple]) -> Element:
-        """Left-greedy normalization; D's bubble to the front, then pop out."""
-        fs = [f for f in factors if f[1] > 0]
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i < len(fs) - 1:
-                u, v = fs[i], fs[i + 1]
-                if u[1] == self.m:  # Delta passes left of nothing; skip
-                    i += 1
-                    continue
-                if v[1] == self.m:  # move Delta leftwards past u
-                    fs[i], fs[i + 1] = v, self.tau_simple(u)
-                    changed = True
-                    i = max(i - 1, 0)
-                    continue
-                rc = self.right_complement(u)
-                if rc[0] == v[0]:
-                    d = min(rc[1], v[1])
-                    fs[i] = (u[0], u[1] + d)
-                    if v[1] - d == 0:
-                        del fs[i + 1]
-                    else:
-                        fs[i + 1] = (_alt(v[0], d), v[1] - d)
-                    changed = True
-                    i = max(i - 1, 0)
-                else:
-                    i += 1
-        p = 0
-        while fs and fs[0][1] == self.m:
-            fs.pop(0)
-            p += 1
-        return (p, tuple(fs))
+        fs holds its factors in tau^c coordinates: the factor meant is the
+        stored one conjugated by D^c.  A Delta completed at the junction pops
+        off the end and moves to the front, which flips c for odd m; what is
+        left of (x, k) meets the new last factor.  Returns (Deltas popped, new
+        c, open), where open says (x, k) went wholly into Deltas, so that the
+        next simple meets a new last factor.  Costs O(1 + Deltas popped).
+        """
+        m = self.m
+        pops = 0
+        while fs:
+            s, length = fs[-1]
+            if c:
+                s = 1 - s
+            if x == (s if length & 1 else 1 - s):  # x is u's last letter: concatenate
+                break
+            room = m - length
+            if k < room:
+                fs[-1] = (fs[-1][0], length + k)
+                return pops, c, False
+            fs.pop()
+            pops += 1
+            c ^= m & 1
+            k -= room
+            if not k:
+                return pops, c, True
+            if room & 1:
+                x = 1 - x
+        fs.append((1 - x, k) if c else (x, k))
+        return pops, c, False
+
+    @staticmethod
+    def _untwist(fs: list[Simple], c: int) -> tuple[Simple, ...]:
+        """The factors meant by fs, which holds them in tau^c coordinates."""
+        if c:
+            return tuple([(1 - s, length) for s, length in fs])
+        return tuple(fs)
 
     def from_letters(self, letters) -> Element:
-        """Normal form of a word given as (letter index, sign) pairs."""
-        power = 0
-        factors: list[Simple] = []
+        """Normal form of a word given as (letter index, sign) pairs, in linear time.
+
+        Each letter is one junction step: x^-1 = D^-1 . (left complement of x),
+        and the D^-1 passes the factors built so far by flipping their tau^c
+        coordinates, so every letter costs O(1) amortised.
+        """
+        odd = self.m & 1
+        complement = [self.left_complement((x, 1)) for x in (0, 1)]
+        push = self._push
+        fs: list[Simple] = []
+        power = c = 0
         for letter, sign in letters:
             if sign > 0:
-                factors.append((letter, 1))
+                pops, c, _ = push(fs, c, letter, 1)
             else:
-                # letter^-1 = D^-1 . (left complement of the letter), and the
-                # D^-1 commutes leftwards past the factors built so far.
                 power -= 1
-                factors = [self.tau_simple(f) for f in factors]
-                factors.append(self.left_complement((letter, 1)))
-        p, fs = self._normalize_factors(factors)
-        return (power + p, fs)
+                pops, c, _ = push(fs, c ^ odd, *complement[letter])
+            power += pops
+        return (power, self._untwist(fs, c))
 
     # -- arithmetic -----------------------------------------------------------
     def mul(self, a: Element, b: Element) -> Element:
+        """The product a.b in O(len a + len b) time.
+
+        D^pa . A . D^pb . B = D^(pa+pb) . tau^pb(A) . B.  The factors of B are
+        appended to tau^pb(A) at the junction until one of them does not merge
+        whole into Deltas; the rest of B starts with that factor's last letter
+        and concatenates unchanged.  A is twisted at most once, at the end.
+        """
         pa, fa = a
         pb, fb = b
-        twisted = [self.tau_simple(f, pb) for f in fa]
-        p, fs = self._normalize_factors(twisted + list(fb))
-        return (pa + pb + p, fs)
+        c = pb & self.m & 1
+        fs = list(fa)
+        pops = 0
+        rest: tuple[Simple, ...] = ()
+        for i, (x, k) in enumerate(fb):
+            popped, c, open_ = self._push(fs, c, x, k)
+            pops += popped
+            if not open_:
+                rest = fb[i + 1 :]
+                break
+        return (pa + pb + pops, self._untwist(fs, c) + rest)
 
     def inv(self, a: Element) -> Element:
+        """The inverse in one pass over the factors.
+
+        For a = D^p f_1 ... f_r with L_i the left complement of f_i,
+        a^-1 = D^-(p+r) . tau^(p+r-1)(L_r) ... tau^p(L_1).  That sequence is
+        already left weighted: f_i f_(i+1) is, so L_i starts with the letter
+        that ends tau(L_(i+1)).
+        """
         p, fs = a
-        out = IDENTITY
-        for f in reversed(fs):
-            out = self.mul(out, (-1, (self.left_complement(f),)))
-        return self.mul(out, (-p, ()))
+        odd = self.m & 1
+        out = []
+        for i in range(len(fs) - 1, -1, -1):
+            s, length = self.left_complement(fs[i])
+            out.append((1 - s, length) if (p + i) & odd else (s, length))
+        return (-p - len(fs), tuple(out))
 
     def pow(self, a: Element, k: int) -> Element:
         if k < 0:
@@ -225,6 +261,7 @@ def _ball_dict(m: int, radius: int) -> dict:
     images along the stored words relies on this.
     """
     eng = engine(m)
+    letter_elts = {(x, e): eng.from_letters([(x, e)]) for x in (0, 1) for e in (1, -1)}
     found: dict[Element, tuple] = {IDENTITY: ()}
     frontier: list[tuple[Element, tuple]] = [(IDENTITY, ())]
     for _ in range(radius):
@@ -236,7 +273,7 @@ def _ball_dict(m: int, radius: int) -> dict:
                     if last == (letter, -sign):
                         continue  # free reduction would shorten
                     new_word = word + ((letter, sign),)
-                    new_elt = eng.mul(elt, eng.from_letters([(letter, sign)]))
+                    new_elt = eng.mul(elt, letter_elts[letter, sign])
                     if new_elt not in found:
                         found[new_elt] = new_word
                         next_frontier.append((new_elt, new_word))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 
 import pytest
 
@@ -64,6 +65,16 @@ def test_dihedral_nf(capsys):
     code, out = run(capsys, ["dihedral", "nf", "--m", "3", "--word", "a b a"])
     assert code == 0
     assert "power     1" in out
+
+
+def test_dihedral_nf_deep_word(capsys):
+    # the 20,000-letter m = 5 word of test_garside.py::test_deep_words_stay_linear
+    rng = random.Random(5)
+    letters = [(rng.randint(0, 1), rng.choice((1, -1))) for _ in range(20000)]
+    word = " ".join("ab"[x] + ("-" if s < 0 else "") for x, s in letters)
+    code, out = run(capsys, ["dihedral", "nf", "--m", "5", "--word", word])
+    assert code == 0
+    assert out.startswith("power")
 
 
 def test_dihedral_fix(capsys):
