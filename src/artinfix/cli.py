@@ -4,9 +4,10 @@ cli: command-line front door.
 Subcommands mirror the library surface: graph validation and automorphism
 enumeration, the full fixed-subgroup classifier, the dihedral backends, the
 coset-complex ball, and the raw word oracle.  Each subcommand accepts only
-the options its operations read.  Every run prints the numeric knobs it
-accepts (--budget, --radius, --search-len, --local-bound) with their values,
-so identical invocations reproduce identical output byte for byte.
+the options its operations read.  Every run prints the numeric knobs that
+its operation read (--budget, --radius, --search-len, --local-bound) with
+their values, so identical invocations reproduce identical output byte for
+byte.
 
 Exit codes: 0 success, 1 domain or usage error, 2 when --strict is set and
 the result is only BUDGET_LIMITED.
@@ -151,6 +152,8 @@ def cmd_dihedral(args) -> int:
     m = args.m
     names = ("a", "b")
     graph = dihedral.edge_graph(m, names)
+    if args.dihedral_op != "tree":
+        del args.radius  # only the tree export reads it; the header names only knobs read
     if args.dihedral_op == "nf":
         if args.word is None:
             raise GraphError("PARSE", "dihedral nf needs --word")

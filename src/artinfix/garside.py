@@ -172,41 +172,30 @@ class DihedralEngine:
         return out
 
     # -- fractions and spellings ----------------------------------------------
-    def _first_simple(self, a: Element) -> Simple | None:
-        p, fs = a
-        if p > 0:
-            return (0, self.m)
-        if fs:
-            return fs[0]
-        return None
-
-    def _gcd_simple(self, u: Simple, v: Simple) -> Simple | None:
-        if u[1] == self.m:
-            return v
-        if v[1] == self.m:
-            return u
-        if u[0] != v[0]:
-            return None
-        return (u[0], min(u[1], v[1]))
-
     def left_fraction(self, a: Element) -> tuple[Element, Element]:
-        """Coprime positive pair (A, B) with a = A^-1 B."""
+        """Coprime positive pair (A, B) with a = A^-1 B, in one pass.
+
+        For a = D^-k f_1 ... f_r with k > 0, let j = min(k, r) and L_i be the
+        left complement of f_i, so that f_i^-1 = D^-1 L_i.  Each D^-1 of a
+        cancels one leading factor: B = f_(j+1) ... f_r, and
+        A = (f_1 ... f_j)^-1 D^k = D^(k-j) . tau^(k-j+1)(L_j) ... tau^k(L_1),
+        tau being conjugation by D.  That sequence is left weighted for the
+        reason given in inv.  When B is not 1, j = k, and A starts with
+        tau(L_k), the right complement of f_k, which starts with the letter
+        f_k does not end with; B starts with f_(k+1), which starts with the
+        letter f_k ends with, f_k f_(k+1) being left weighted.  So A and B
+        are coprime.  O(k + r) time.
+        """
         p, fs = a
         if p >= 0:
             return IDENTITY, a
-        num = (-p, ())  # A = D^-p, to be cancelled against B = factors
-        den = (0, fs)
-        while True:
-            fa, fb = self._first_simple(num), self._first_simple(den)
-            if fa is None or fb is None:
-                break
-            d = self._gcd_simple(fa, fb)
-            if d is None:
-                break
-            dinv = self.inv((0, (d,)))
-            num = self.mul(dinv, num)
-            den = self.mul(dinv, den)
-        return num, den
+        j = min(-p, len(fs))
+        odd = self.m & 1
+        num = []
+        for i in range(j - 1, -1, -1):
+            s, length = self.left_complement(fs[i])
+            num.append((1 - s, length) if (i - p) & odd else (s, length))
+        return (-p - j, tuple(num)), (0, fs[j:])
 
     def positive_letters(self, a: Element) -> tuple[int, ...]:
         """Letter spelling of a positive element (power >= 0)."""
@@ -228,8 +217,14 @@ class DihedralEngine:
         return out
 
     def spell(self, a: Element):
-        """Canonical spelling: the shorter of the left and right fractions."""
+        """Canonical spelling: the shorter of the left and right fractions.
+
+        A positive element's two fractions are both positive spellings of the
+        same length, and the left one is kept on a tie.
+        """
         left = self.spell_left(a)
+        if a[0] >= 0:
+            return left
         rev = self.from_letters((x, s) for x, s in reversed(left))
         right_of_rev = self.spell_left(rev)
         right = [(x, s) for x, s in reversed(right_of_rev)]

@@ -15,6 +15,13 @@ syllables are replaced by their canonical dihedral spelling after every step,
 which collapses the in-fragment part of the search space and leaves the
 relator moves to do only cross-fragment work.  The search is bidirectional,
 breadth first, deterministic, and counts expanded nodes against the budget.
+A state's successors are a set: each distinct neighbour other than the state
+itself, with the first move that reaches it.  A neighbour's canonical form is
+computed from the splice.  The state and the replacement are freely reduced,
+so the spliced word cancels only at its two junctions; and when the state is
+settled (a syllable pass leaves it unchanged), its runs before the splice and
+its runs from a run start in the untouched suffix are canonical already, so
+each pass rescans only the window between them.
 
 Everything the oracle derives from a defining graph lives in one per-graph
 context, built on first use and held by the graph instance itself (a private
@@ -28,6 +35,7 @@ verdict never depends on what the process computed before.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -119,6 +127,10 @@ def _dihedral_canonical(m: int, idx_word: tuple) -> tuple:
     return tuple(eng.spell(eng.from_letters(idx_word)))
 
 
+def _cancels(x, y) -> bool:
+    return x[0] == y[0] and x[1] == -y[1]
+
+
 def _remember(memo: dict, key, value) -> None:
     if len(memo) > _MEMO_LIMIT:
         memo.clear()
@@ -157,43 +169,79 @@ class _OracleContext:
             vec[self.component_of[name]] += sign
         return tuple(vec)
 
-    def syllable_pass(self, word: Word) -> Word:
-        """Respell every greedy maximal two-generator run of the word.
+    def syllable_pass(
+        self,
+        word: Word,
+        begin: int = 0,
+        resume: int = 0,
+        shift: int = 0,
+        starts: frozenset = frozenset(),
+        marks: list | None = None,
+    ) -> tuple[Word, int, int]:
+        """Respell every greedy maximal two-generator run of word[begin:].
 
         A run starts at a letter, absorbs its repeats, and, when the next
         name forms a finite pair with it, every following letter of that
-        pair.  Returns the word itself when no run changed; the result is not
-        freely reduced.
+        pair.  Each block emitted (a spelling, or repeats of one letter) is
+        freely reduced, and cancels against the output only where it meets
+        it, so the result is freely reduced when the word is.  word[:begin]
+        is kept as it stands, and so is the rest of the word from the first
+        run start i >= resume with i - shift in starts: the caller knows
+        those runs to be canonical.  marks, when given, collects the run
+        starts.
+
+        Returns (new, low, kept): new is the word itself when no run changed;
+        new[:low] == word[:low], and the last kept letters of new are the
+        word's.
         """
-        out: list = []
-        changed = False
+        n = len(word)
+        out = list(word[:begin])
+        low, kept = n, 0
         pairs, spellings = self.pairs, self.spellings
-        n, i = len(word), 0
+        i = begin
         while i < n:
-            x = word[i][0]
-            j = i + 1
-            while j < n and word[j][0] == x:
-                j += 1
-            link = pairs.get((x, word[j][0])) if j < n else None
-            if link is None:
-                out.extend(word[i:j])
-                i = j
-                continue
-            pair, m = link
-            j += 1
-            while j < n and word[j][0] in pair:
-                j += 1
-            run = word[i:j]
-            spelled = spellings.get(run)
-            if spelled is None:
-                spelled = tuple(
-                    (pair[k], sg) for k, sg in _dihedral_canonical(m, _indices(pair, run))
-                )
-                _remember(spellings, run, spelled)
-            changed = changed or spelled != run
-            out.extend(spelled)
+            stop = i >= resume and i - shift in starts
+            if stop:
+                block, j = word[i:], n
+            else:
+                if marks is not None:
+                    marks.append(i)
+                x = word[i][0]
+                j = i + 1
+                while j < n and word[j][0] == x:
+                    j += 1
+                link = pairs.get((x, word[j][0])) if j < n else None
+                if link is None:
+                    block = word[i:j]
+                else:
+                    pair, m = link
+                    j += 1
+                    while j < n and word[j][0] in pair:
+                        j += 1
+                    run = word[i:j]
+                    block = spellings.get(run)
+                    if block is None:
+                        block = tuple(
+                            (pair[k], sg)
+                            for k, sg in _dihedral_canonical(m, _indices(pair, run))
+                        )
+                        _remember(spellings, run, block)
+                    if block != run:
+                        low = min(low, len(out))
+            cut = 0
+            while cut < len(block) and out and _cancels(out[-1], block[cut]):
+                out.pop()
+                cut += 1
+            if cut:
+                low = min(low, len(out))
+            out.extend(block[cut:])
+            if stop:
+                kept = n - i - cut
+                break
             i = j
-        return tuple(out) if changed else word
+        if low == n:
+            return word, n, n
+        return tuple(out), low, kept
 
 
 def _context(graph: DefiningGraph) -> _OracleContext:
@@ -219,17 +267,36 @@ def canonical_form(graph: DefiningGraph, word: Word) -> Word:
     own canonical form only when a pass confirmed that, never when the
     six-pass cap stopped the loop.
     """
-    word = free_reduce(word)
-    ctx = _context(graph)
+    return _settle(_context(graph), free_reduce(word))
+
+
+def _settle(ctx: _OracleContext, word: Word, runs=None, a: int = 0, t: int = 0) -> Word:
+    """canonical_form of a freely reduced word.
+
+    runs = (state, starts, start_set) names a settled state and its run
+    starts (a sorted list and a set); the word shares its first a and its
+    last t letters with that state.  A greedy run is fixed by its first
+    letter and the letters up to the one after it, so the state's runs that
+    end before a - 1 are runs of the word, and so are the state's runs from
+    any run start in the shared suffix that the scan reaches; the state
+    being settled, all of them are canonical.  A pass then rescans from the
+    state run holding position a - 1 up to the first such run start, and a
+    and t shrink to what the pass left untouched.
+    """
     memo = ctx.canonical
     hit = memo.get(word)
     if hit is not None:
         return hit
     original, settled = word, False
     for _ in range(_MAX_PASSES):
-        new = ctx.syllable_pass(word)
-        if new is not word:
-            new = free_reduce(new)
+        if runs is None:
+            new = ctx.syllable_pass(word)[0]
+        else:
+            state, starts, start_set = runs
+            n = len(word)
+            begin = starts[bisect_right(starts, a - 1) - 1] if a else 0
+            new, low, t = ctx.syllable_pass(word, begin, n - t, n - len(state), start_set)
+            a = min(a, low)
         if new == word or len(new) > len(word):
             settled = True
             break
@@ -266,15 +333,26 @@ def _dihedral_compare(graph: DefiningGraph, u: Word, v: Word, names):
 # Bidirectional rewrite search.
 
 
-def _successors(graph: DefiningGraph, ctx: _OracleContext, state: Word, max_len: int):
-    """Canonical words one relator move from state, with the moves, memoised."""
+def _successors(ctx: _OracleContext, state: Word, max_len: int) -> tuple:
+    """The distinct canonical words one relator move from state, other than
+    state itself, each paired with the first move reaching it; memoised.
+
+    Each neighbour is the canonical form of the splice state[:i] + v +
+    state[end:], freely reduced at its two junctions, and, when the state is
+    settled, settled pass by pass only in the window around the splice.
+    """
     key = (state, max_len)
     hit = ctx.successors.get(key)
     if hit is not None:
         return hit
     patterns = ctx.patterns
-    out = []
     n = len(state)
+    starts: list[int] = []
+    if ctx.syllable_pass(state, marks=starts)[0] is state:
+        runs = (state, starts, frozenset(starts))
+    else:
+        runs = None
+    out: dict[Word, tuple] = {}
     for i in range(n):
         bucket = patterns.get(state[i])
         if not bucket:
@@ -285,12 +363,19 @@ def _successors(graph: DefiningGraph, ctx: _OracleContext, state: Word, max_len:
                 continue
             if state[i:end] != u:
                 continue
-            candidate = canonical_form(
-                graph, state[:i] + v + state[end:]
-            )
-            if len(candidate) <= max_len:
-                out.append((candidate, (i, u, v)))
-    hit = tuple(out)
+            a, b, lo, hi = i, end, 0, len(v)
+            while a and lo < hi and _cancels(state[a - 1], v[lo]):
+                a, lo = a - 1, lo + 1
+            while b < n and lo < hi and _cancels(v[hi - 1], state[b]):
+                b, hi = b + 1, hi - 1
+            if lo == hi:
+                while a and b < n and _cancels(state[a - 1], state[b]):
+                    a, b = a - 1, b + 1
+            spliced = state[:a] + v[lo:hi] + state[b:]
+            candidate = _settle(ctx, spliced, runs, a, n - b)
+            if len(candidate) <= max_len and candidate != state and candidate not in out:
+                out[candidate] = (i, u, v)
+    hit = tuple(out.items())
     _remember(ctx.successors, key, hit)
     return hit
 
@@ -325,7 +410,7 @@ def _search(graph: DefiningGraph, u: Word, v: Word, budget: int, slack: int):
         )
         state = queue.popleft()
         expansions += 1
-        for nxt, move in _successors(graph, ctx, state, max_len):
+        for nxt, move in _successors(ctx, state, max_len):
             if nxt in seen:
                 continue
             seen[nxt] = (state, move)
@@ -418,7 +503,7 @@ def member_of_parabolic(
     while queue and expansions < budget:
         state = queue.popleft()
         expansions += 1
-        for nxt, move in _successors(graph, ctx, state, max_len):
+        for nxt, move in _successors(ctx, state, max_len):
             if nxt in seen:
                 continue
             seen[nxt] = (state, move)

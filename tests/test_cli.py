@@ -77,6 +77,29 @@ def test_dihedral_nf_deep_word(capsys):
     assert out.startswith("power")
 
 
+def test_dihedral_nf_80000_letters(capsys):
+    # spelling is linear too: the left fraction is written down, not cancelled
+    # one simple at a time
+    rng = random.Random(8)
+    letters = [(rng.randint(0, 1), rng.choice((1, -1))) for _ in range(80000)]
+    word = " ".join("ab"[x] + ("-" if s < 0 else "") for x, s in letters)
+    code, out = run(capsys, ["dihedral", "nf", "--m", "5", "--word", word])
+    assert code == 0
+    assert out.startswith("power")
+
+
+def test_dihedral_header_echoes_only_the_radius_it_reads(capsys):
+    for argv in (["nf", "--word", "a b"], ["fix", "--aut", "conj a"]):
+        code, out = run(capsys, ["dihedral", *argv, "--m", "3", "--radius", "2",
+                                 "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["budgets"] == {}
+    code, out = run(capsys, ["dihedral", "tree", "--m", "4", "--aut", "conj a",
+                             "--radius", "2", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["budgets"] == {"radius": 2}
+
+
 def test_dihedral_fix(capsys):
     code, out = run(
         capsys,

@@ -93,6 +93,51 @@ class ReferenceEngine(DihedralEngine):
             out = self.mul(out, (-1, (self.left_complement(f),)))
         return self.mul(out, (-p, ()))
 
+    def _first_simple(self, a):
+        p, fs = a
+        if p > 0:
+            return (0, self.m)
+        if fs:
+            return fs[0]
+        return None
+
+    def _gcd_simple(self, u, v):
+        if u[1] == self.m:
+            return v
+        if v[1] == self.m:
+            return u
+        if u[0] != v[0]:
+            return None
+        return (u[0], min(u[1], v[1]))
+
+    def left_fraction(self, a):
+        """Cancel the greatest common simple of A = D^-p and B one at a time."""
+        p, fs = a
+        if p >= 0:
+            return IDENTITY, a
+        num = (-p, ())
+        den = (0, fs)
+        while True:
+            fa, fb = self._first_simple(num), self._first_simple(den)
+            if fa is None or fb is None:
+                break
+            d = self._gcd_simple(fa, fb)
+            if d is None:
+                break
+            dinv = self.inv((0, (d,)))
+            num = self.mul(dinv, num)
+            den = self.mul(dinv, den)
+        return num, den
+
+    def spell(self, a):
+        """Both fractions spelled for every element, the shorter kept."""
+        left = self.spell_left(a)
+        rev = self.from_letters((x, s) for x, s in reversed(left))
+        right = [(x, s) for x, s in reversed(self.spell_left(rev))]
+        if len(right) < len(left):
+            return right
+        return left
+
 
 def test_braid_relation_m3():
     eng = engine(3)
@@ -256,3 +301,18 @@ def test_deep_words_stay_linear(m):
         folded = eng.mul(folded, eng.from_letters(w[i : i + 100]))
     assert folded == elt
     assert eng.mul(elt, eng.inv(elt)) == IDENTITY
+
+
+@pytest.mark.parametrize("m", MS)
+def test_left_fraction_closed_form_matches_reference(m):
+    # Delta^-k f_1 ... f_r with k below, equal to and above r, so that both
+    # A = D^(k-r) . (...) and a leftover B occur
+    rng = random.Random(100 + m)
+    eng, ref = engine(m), ReferenceEngine(m)
+    for _ in range(150):
+        _, fs = eng.from_letters([(x, 1) for x, _ in _rand_letters(rng, rng.randint(0, 30))])
+        elt = (-rng.randint(0, len(fs) + 3), fs)
+        assert eng.left_fraction(elt) == ref.left_fraction(elt)
+        assert eng.spell(elt) == ref.spell(elt)
+        num, den = eng.left_fraction(elt)
+        assert eng.mul(eng.inv(num), den) == elt

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from artinfix.oracle import (
     canonical_form,
     is_fixed,
@@ -300,3 +302,177 @@ def test_verdicts_do_not_depend_on_warm_memos():
     for w in _reduced_words(warm, 4):
         canonical_form(warm, w)
     assert _answers(warm, queries) == expected
+
+
+# ---------------------------------------------------------------------------
+# Rewrite-search successors against the whole-word reference loop.
+
+SEARCH_GRAPHS = {
+    "triangle": [("a", "b", 3), ("a", "c", 3), ("b", "c", 3)],
+    "mixed334": [("a", "b", 4), ("a", "c", 3), ("b", "c", 3)],
+    "path": [("a", "b", 3), ("b", "c", 3)],
+}
+
+
+def reference_successors(graph, state, max_len):
+    """Every relator move from state in search order, each spliced word
+    canonicalised whole; repeats and the state itself included."""
+    from artinfix.oracle import _context
+
+    patterns = _context(graph).patterns
+    out = []
+    n = len(state)
+    for i in range(n):
+        for u, v in patterns.get(state[i], ()):
+            end = i + len(u)
+            if end > n or n - len(u) + len(v) > max_len + 4:
+                continue
+            if state[i:end] != u:
+                continue
+            candidate = canonical_form(graph, state[:i] + v + state[end:])
+            if len(candidate) <= max_len:
+                out.append((candidate, (i, u, v)))
+    return tuple(out)
+
+
+def _first_occurrences(moves, state):
+    out = {}
+    for word, move in moves:
+        if word != state:
+            out.setdefault(word, move)
+    return tuple(out.items())
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GRAPHS))
+def test_successor_sets_match_reference(name):
+    from artinfix.oracle import _context, _successors
+    from artinfix.presentation import validate_graph
+
+    graph = validate_graph(SEARCH_GRAPHS[name])
+    ref_graph = validate_graph(SEARCH_GRAPHS[name])
+    ctx = _context(graph)
+    starts = {canonical_form(ref_graph, w) for w in _reduced_words(ref_graph, 5)}
+    states = set(starts)
+    for state in starts:
+        if len(state) <= 4:  # and every state a search from it reaches in one move
+            max_len = len(state) + 2 * _context(ref_graph).max_m
+            states.update(w for w, _ in reference_successors(ref_graph, state, max_len))
+    for state in sorted(states):
+        for max_len in (len(state) + 2, len(state) + 6):
+            want = _first_occurrences(reference_successors(ref_graph, state, max_len), state)
+            assert _successors(ctx, state, max_len) == want, (state, max_len)
+
+
+def _windowed_form(graph, state, word):
+    """_settle of the reduced word through the window of the settled state,
+    with the shared prefix and suffix found by comparison; memos cleared."""
+    from artinfix.oracle import _context, _settle
+
+    ctx = _context(graph)
+    starts = []
+    assert ctx.syllable_pass(state, marks=starts)[0] is state
+    a = 0
+    while a < min(len(state), len(word)) and state[a] == word[a]:
+        a += 1
+    t = 0
+    while t < min(len(state), len(word)) - a and state[-1 - t] == word[-1 - t]:
+        t += 1
+    ctx.canonical.clear()
+    return _settle(ctx, word, (state, starts, frozenset(starts)), a, t)
+
+
+def _settled(graph, word):
+    from artinfix.oracle import _context
+
+    return free_reduce(word) == word and _context(graph).syllable_pass(word)[0] is word
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GRAPHS))
+def test_windowed_neighbour_forms_match_whole_word(name):
+    from artinfix.oracle import _context
+    from artinfix.presentation import validate_graph
+
+    graph = validate_graph(SEARCH_GRAPHS[name])
+    patterns = _context(graph).patterns
+    rng = random.Random(31)
+    letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+    states = {canonical_form(graph, w) for w in _reduced_words(graph, 3)}
+    states |= {canonical_form(graph, rng.choices(letters, k=14)) for _ in range(60)}
+    checked = 0
+    for state in sorted(states):
+        if not _settled(graph, state):
+            continue
+        for i in range(len(state)):
+            for u, v in patterns.get(state[i], ()):
+                if state[i : i + len(u)] == u:
+                    word = free_reduce(state[:i] + v + state[i + len(u) :])
+                    got = _windowed_form(graph, state, word)
+                    assert got == reference_canonical_form(graph, word), (state, i, u, v)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_windowed_form_keeps_the_pass_cap():
+    # the pair of test_canonical_form_is_pure_after_the_pass_cap, reached as
+    # splices of every settled word that deletes one segment of it
+    from artinfix.oracle import _context
+    from artinfix.presentation import validate_graph
+
+    w = parse_word("b c- a b c a b c a b c a b c^2 b-")
+    x = parse_word("b c- b- a b c a b c a b c a b^2 c")
+    graph = validate_graph(SEARCH_GRAPHS["triangle"])
+    windows = 0
+    for word in (w, x):
+        want = reference_canonical_form(graph, word)
+        for a in range(len(word)):
+            for b in range(a + 1, len(word) + 1):
+                state = word[:a] + word[b:]
+                if _settled(graph, state):
+                    assert _windowed_form(graph, state, word) == want, (a, b)
+                    # x is not a fixed point, so the cap leaves it unrecorded
+                    assert word != w or x not in _context(graph).canonical
+                    windows += 1
+    assert windows > 20
+
+
+def _search_queries(graph, rng):
+    letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+    edges = graph.edge_list
+    queries = []
+    for _ in range(40):
+        u = free_reduce(rng.choices(letters, k=rng.randint(3, 6)))
+        conj = free_reduce(rng.choices(letters, k=2))
+        s, t, m = rng.choice(edges)
+        side = tuple(((s, t)[i % 2], 1) for i in range(m))
+        other = tuple(((t, s)[i % 2], 1) for i in range(m))
+        cut = rng.randint(0, len(u))
+        rel = free_reduce(u[:cut] + side + inv(other) + u[cut:])
+        queries.append(("eq", u, rel, 60))
+        queries.append(("eq", mul(conj, u, inv(conj)), u, 15))
+        queries.append(("mem", mul(conj, u, inv(conj)), {s, t}, 15))
+    return queries
+
+
+def test_search_verdicts_match_reference_successors(monkeypatch):
+    from artinfix import oracle
+    from artinfix.presentation import validate_graph
+
+    rng = random.Random(37)
+    counted = 0
+    for name, edges in sorted(SEARCH_GRAPHS.items()):
+        graph, ref_graph = validate_graph(edges), validate_graph(edges)
+        queries = _search_queries(graph, rng)
+        got = _answers(graph, queries)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                oracle, "_successors",
+                lambda ctx, state, max_len: reference_successors(ref_graph, state, max_len),
+            )
+            want = _answers(ref_graph, queries)
+        assert got == want
+        for (kind, first, second, _), verdict in zip(queries, got):
+            if kind == "eq" and verdict.is_equal:
+                assert replay(graph, verdict, first, second)
+        counted += len(queries)
+        assert any(v.expansions for v in got)
+    assert counted >= 200
