@@ -17,8 +17,7 @@ at most one syllable, and translation lengths are syllable counts.
 
 from __future__ import annotations
 
-from .presentation import GraphError
-from .words import Word, free_reduce
+from .words import GraphError, Word, free_reduce, inv
 
 Syl = tuple[str, int]  # ("x", 1) or ("y", e) with 1 <= e <= m-1
 AmElement = tuple[int, tuple[Syl, ...]]  # (power of the centre, syllables)
@@ -99,13 +98,13 @@ def am_to_artin(m: int, element: AmElement, names: tuple[str, str]) -> Word:
     if c > 0:
         letters.extend(centre * c)
     elif c < 0:
-        letters.extend([(nm, -sg) for nm, sg in reversed(centre)] * (-c))
+        letters.extend(inv(centre) * (-c))
     for kind, exp in syls:
         base = x_word if kind == "x" else ab
         if exp > 0:
             letters.extend(base * exp)
         else:
-            letters.extend([(nm, -sg) for nm, sg in reversed(base)] * (-exp))
+            letters.extend(inv(base) * (-exp))
     return free_reduce(letters)
 
 

@@ -345,13 +345,9 @@ def classify_elliptic(
     # DIHEDRAL_VERTEX: restrict to the two-generator parabolic
     s, t = reduction.edge
     m = int(graph.coefficient(s, t))
-    sub_map = {s: aut.perm(s), t: aut.perm(t)}
-    restricted = ArtinAutomorphism(
-        graph.induced((s, t)),
-        reduction.local_word,
-        type(aut.perm)(graph.induced((s, t)), tuple(sub_map[v] for v in sorted((s, t)))),
-        aut.inversion,
-    )
+    edge = graph.induced((s, t))
+    perm = edge.automorphism(tuple(map(aut.perm, edge.vertices)))
+    restricted = ArtinAutomorphism(edge, reduction.local_word, perm, aut.inversion)
     sub_report = dihedral_fix(m, restricted, names=tuple(sorted((s, t))))
     gens = _conj_all(h, sub_report.generators)
     return certified_report(
@@ -444,10 +440,9 @@ def classify_hyperbolic(aut: ArtinAutomorphism, search_len: int = 3) -> FixRepor
 
     # exotic dihedral pattern: the conjugated inner part must be exactly a
     # power of the hexagonal centre times the twist correction
-    for tri in _all3_triangles(graph):
+    patterned = [tri for tri in _all3_triangles(graph) if _sigma_pattern(aut, tri) is not None]
+    for tri in patterned:
         pattern = _sigma_pattern(aut, tri)
-        if pattern is None:
-            continue
         a, b, c = tri
         zc = _hex_centre(tri)
         correction = {
@@ -476,49 +471,37 @@ def classify_hyperbolic(aut: ArtinAutomorphism, search_len: int = 3) -> FixRepor
 
     # transverse plane case: the twisted product commutes with a conjugated
     # hexagonal centre and the twist data lies in the exotic subgroup
-    for tri in _all3_triangles(graph):
-        pattern = _sigma_pattern(aut, tri)
-        if pattern is None:
-            continue
-        a, b, c = tri
-        zc = _hex_centre(tri)
-        for h in _candidate_words(graph, max(search_len - 1, 1)):
-            conj_zc = mul(h, zc, inv(h))
-            comm_budget = 120 if not h else 0
-            if not word_equal(
-                graph, mul(z, conj_zc), mul(conj_zc, z), comm_budget, slack=2
-            ).is_equal:
-                continue
-            correction = {
-                "id": (),
-                "cab": ((a, -1),),
-                "bca": ((c, 1),),
-            }[pattern]
-            g_prime = free_reduce(mul(inv(h), aut.conj, aut.graph_part(h)))
-            probe = mul(g_prime, correction)
-            ok = any(
-                word_equal(graph, probe, cand, 60, slack=2).is_equal
-                for cand in _exotic_elements(graph, tri, 6)
-            )
-            if ok:
-                gens = (z, free_reduce(conj_zc))
-                return certified_report(
-                    aut,
-                    normalize_class("Z2"),
-                    gens,
-                    False,
-                    witness=h,
-                    notes=(
-                        "fixed subgroup is the full centraliser of the twisted product",
-                    ),
-                )
+    hit = _transverse_centre(graph, z, patterned, search_len, 120, 2)
+    if hit is not None:
+        h, tri, conj_zc = hit
+        a, _, c = tri
+        correction = {
+            "id": (),
+            "cab": ((a, -1),),
+            "bca": ((c, 1),),
+        }[_sigma_pattern(aut, tri)]
+        g_prime = free_reduce(mul(inv(h), aut.conj, aut.graph_part(h)))
+        probe = mul(g_prime, correction)
+        ok = any(
+            word_equal(graph, probe, cand, 60, slack=2).is_equal
+            for cand in _exotic_elements(graph, tri, 6)
+        )
+        if ok:
             return certified_report(
                 aut,
-                normalize_class("Z"),
-                (z,),
+                normalize_class("Z2"),
+                (z, free_reduce(conj_zc)),
                 False,
-                notes=("twisted product commutes with an exotic centre; twist data does not match",),
+                witness=h,
+                notes=("fixed subgroup is the full centraliser of the twisted product",),
             )
+        return certified_report(
+            aut,
+            normalize_class("Z"),
+            (z,),
+            False,
+            notes=("twisted product commutes with an exotic centre; twist data does not match",),
+        )
 
     # axis inside a standard tree: z commutes with a conjugated generator
     hit = _commuting_generator(graph, z, max(search_len - 1, 1))
@@ -540,6 +523,21 @@ def classify_hyperbolic(aut: ArtinAutomorphism, search_len: int = 3) -> FixRepor
         False,
         notes=("no commuting parabolic data found within the search bound",),
     )
+
+
+def _transverse_centre(graph, z, triangles, search_len, budget, slack):
+    """(h, triangle, h abcabc h^-1) for the first conjugated hexagonal centre
+    that commutes with z, or None.  Triangles are tried in the given order,
+    each with the words h up to length max(search_len - 1, 1); only h = 1
+    gets the oracle budget."""
+    for tri in triangles:
+        zc = _hex_centre(tri)
+        for h in _candidate_words(graph, max(search_len - 1, 1)):
+            conj_zc = mul(h, zc, inv(h))
+            eq_budget = budget if not h else 0
+            if word_equal(graph, mul(z, conj_zc), mul(conj_zc, z), eq_budget, slack=slack).is_equal:
+                return h, tri, conj_zc
+    return None
 
 
 def _commuting_generator(graph, z, search_len):
@@ -603,19 +601,12 @@ def centralizer_case(graph: DefiningGraph, g: Word, search_len: int = 3) -> Cent
             f"dihedral vertex case: {note}", subtag=tag, edge=tuple(sorted((s, t))),
         )
 
-    for tri in _all3_triangles(graph):
-        zc = _hex_centre(tri)
-        for h in _candidate_words(graph, max(search_len - 1, 1)):
-            conj_zc = mul(h, zc, inv(h))
-            comm_budget = 200 if not h else 0
-            if word_equal(graph, mul(g, conj_zc), mul(conj_zc, g), comm_budget, slack=4).is_equal:
-                return CentralizerCase(
-                    "HYP_TRANSVERSE",
-                    (g, free_reduce(conj_zc)),
-                    False,
-                    h,
-                    "commutes with an exotic centre",
-                )
+    hit = _transverse_centre(graph, g, _all3_triangles(graph), search_len, 200, 4)
+    if hit is not None:
+        h, _, conj_zc = hit
+        return CentralizerCase(
+            "HYP_TRANSVERSE", (g, free_reduce(conj_zc)), False, h, "commutes with an exotic centre"
+        )
 
     hit = _commuting_generator(graph, g, search_len)
     if hit is not None:

@@ -206,6 +206,8 @@ def cmd_deligne(args) -> int:
         if args.displacement:
             word = _word_on(graph, args.displacement)
             displacements = deligne.displacement_field(word, ball, budget=args.budget)
+        else:
+            del args.budget  # build_ball dedups at budget 0; the header names only knobs read
         lines = [
             f"vertices  {len(ball.vertices)}",
             f"edges     {len(ball.edges)}",

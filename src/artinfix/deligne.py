@@ -28,9 +28,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .garside import engine
+from .garside import IDENTITY, engine
 from .oracle import _context, canonical_form, member_of_parabolic, word_equal
 from .presentation import DefiningGraph, GraphError, graph_automorphisms
 from .words import (
@@ -232,16 +231,6 @@ class DeligneBall:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _local_elements(s: str, t: str, m: int, bound: int):
-    """Nontrivial elements of the dihedral on (s, t) up to geodesic length bound."""
-    return tuple(
-        tuple(((s, t)[i], sg) for i, sg in word_idx)
-        for k, word_idx in engine(m).ball(bound).items()
-        if k != (0, ())
-    )
-
-
 def build_ball(
     graph: DefiningGraph,
     radius: int,
@@ -330,9 +319,12 @@ def build_ball(
                         connect(w, (s, t), cur)
             else:
                 s, t = S
-                m = int(graph.coefficient(s, t))
-                for h in _local_elements(s, t, m, local_len(m)):
-                    wh = mul(w, h)
+                eng = engine(int(graph.coefficient(s, t)))
+                # the nontrivial elements of the dihedral on S, up to the local bound
+                for k, local in eng.ball(local_len(eng.m)).items():
+                    if k == IDENTITY:
+                        continue
+                    wh = mul(w, eng.named(local, S))
                     connect(wh, (), cur)
                     connect(wh, (s,), cur)
                     connect(wh, (t,), cur)

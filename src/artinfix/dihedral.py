@@ -36,24 +36,21 @@ from .garside import IDENTITY, engine
 from .presentation import DefiningGraph, GraphError, validate_graph
 from .report import FixClass, FixReport, certified_report, normalize_class
 from .words import (
+    DEFAULT_NAMES,
     ArtinAutomorphism,
     Word,
+    delta_word,
     free_reduce,
     height,
     inv,
     mul,
 )
 
-DEFAULT_NAMES = ("a", "b")
+_ROOT_SEARCH = 8  # length of the brute fixed-element scan behind a cyclic root
 
 
 def edge_graph(m: int, names: tuple[str, str] = DEFAULT_NAMES) -> DefiningGraph:
     return validate_graph([(names[0], names[1], m)])
-
-
-def delta_word(m: int, names: tuple[str, str] = DEFAULT_NAMES) -> Word:
-    """The Garside element: the alternating product of m letters."""
-    return tuple((names[i % 2], 1) for i in range(m))
 
 
 def center_word(m: int, names: tuple[str, str] = DEFAULT_NAMES) -> Word:
@@ -78,24 +75,14 @@ class GarsideNF:
         return (self.power, self.factors)
 
 
-def _to_indices(word: Word, names) -> list[tuple[int, int]]:
-    lookup = {names[0]: 0, names[1]: 1}
-    try:
-        return [(lookup[n], s) for n, s in word]
-    except KeyError as exc:
-        raise GraphError("UNKNOWN_GENERATOR", f"{exc} not on the edge") from exc
-
-
 def garside_nf(m: int, word: Word, names: tuple[str, str] = DEFAULT_NAMES) -> GarsideNF:
     eng = engine(m)
-    elt = eng.from_letters(_to_indices(word, names))
-    spelling = tuple((names[i], s) for i, s in eng.spell(elt))
-    return GarsideNF(m, elt[0], elt[1], spelling)
+    power, factors = elt = eng.element(word, names)
+    return GarsideNF(m, power, factors, eng.named(eng.spell(elt), names))
 
 
 def nf_key(m: int, word: Word, names: tuple[str, str] = DEFAULT_NAMES):
-    eng = engine(m)
-    return eng.from_letters(_to_indices(word, names))
+    return engine(m).element(word, names)
 
 
 def words_equal(m: int, u: Word, v: Word, names: tuple[str, str] = DEFAULT_NAMES) -> bool:
@@ -304,7 +291,7 @@ def brute_fixed(
     """
     eng = engine(m)
     letter_image = {
-        (i, s): eng.from_letters(_to_indices(aut(((names[i], s),)), names))
+        (i, s): eng.element(aut(eng.named(((i, s),), names)), names)
         for i in (0, 1)
         for s in (1, -1)
     }
@@ -314,7 +301,7 @@ def brute_fixed(
         if word_idx:
             images[word_idx] = eng.mul(images[word_idx[:-1]], letter_image[word_idx[-1]])
         if images[word_idx] == elt:
-            out.append((len(word_idx), word_idx, tuple((names[i], s) for i, s in word_idx)))
+            out.append((len(word_idx), word_idx, eng.named(word_idx, names)))
     out.sort()
     return [w for _, _, w in out]
 
@@ -348,7 +335,7 @@ def subgroup_ball(
     power_cap = 24
     if whole_group:
         return set(ball)
-    gens = [eng.from_letters(_to_indices(w, names)) for w in generators if free_reduce(w)]
+    gens = [eng.element(w, names) for w in generators if free_reduce(w)]
     if not gens:
         return {(0, ())}
     if len(gens) == 1:
@@ -414,12 +401,12 @@ def _axis_minimal(m: int, w: Word, names):
     parity invariant rules out a smaller root; otherwise the flag is False.
     """
     eng = engine(m)
-    wkey = eng.from_letters(_to_indices(w, names))
+    wkey = eng.element(w, names)
     best = None
     for key, word_idx in eng.ball(7).items():
         if key == (0, ()) or eng.mul(key, wkey) != eng.mul(wkey, key):
             continue
-        cand = tuple((names[i], s) for i, s in word_idx)
+        cand = eng.named(word_idx, names)
         ell = tree_translation(m, cand, names)
         if ell == 0:
             continue
@@ -499,7 +486,7 @@ def dihedral_centralizer(m: int, g: Word, names: tuple[str, str] = DEFAULT_NAMES
 # Roots of cyclic fixed subgroups.
 
 
-def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names, search: int = 8):
+def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names):
     """Smallest fixed element generating every ball-fixed element, plus z0.
 
     Returns (generator, exact, note).  Exactness uses the tree parity
@@ -507,13 +494,13 @@ def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names, search: int 
     span the fixed elements seen in the search ball.
     """
     eng = engine(m)
-    fixed = brute_fixed(m, aut, search, names)
+    fixed = brute_fixed(m, aut, _ROOT_SEARCH, names)
     fixed = [w for w in fixed if w]
     z0 = free_reduce(z0)
     candidates = fixed + ([z0] if z0 not in fixed else [])
-    targets = {eng.from_letters(_to_indices(w, names)) for w in candidates}
+    targets = {eng.element(w, names) for w in candidates}
     for r in candidates:
-        if targets <= set(_powers(eng, eng.from_letters(_to_indices(r, names)), 64)):
+        if targets <= set(_powers(eng, eng.element(r, names), 64)):
             ell = tree_translation(m, r, names)
             if m % 2 == 1:
                 exact = ell == 2
@@ -526,7 +513,7 @@ def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names, search: int 
                     else ""
                 )
             if not exact:
-                note = f"no proper root within the length-{search} ball"
+                note = f"no proper root within the length-{_ROOT_SEARCH} ball"
             return r, exact, note
     return z0, False, "fixed elements in the ball are not all powers of one element"
 
@@ -540,15 +527,6 @@ def _twisted_root(m: int, aut: ArtinAutomorphism, names, notes=()):
 
 # ---------------------------------------------------------------------------
 # The fixed-subgroup classification.
-
-
-def _spell(m: int, names, words) -> tuple[Word, ...]:
-    """Garside spellings of the words, the form in which reports carry them."""
-    eng = engine(m)
-    return tuple(
-        tuple((names[i], s) for i, s in eng.spell(eng.from_letters(_to_indices(w, names))))
-        for w in words
-    )
 
 
 def _alpha_gamma_axis(n: int, k: int) -> hnn.BSElement:
@@ -675,4 +653,5 @@ def dihedral_fix(
     """
     fix = _fix_odd if m % 2 else _fix_even
     fix_class, gens, exact, witness, notes = fix(m, aut, names)
-    return certified_report(aut, fix_class, _spell(m, names, gens), exact, witness, notes)
+    spelled = tuple(engine(m).spelling(w, names) for w in gens)
+    return certified_report(aut, fix_class, spelled, exact, witness, notes)

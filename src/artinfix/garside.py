@@ -28,11 +28,21 @@ an element (the shorter of its coprime left fraction A^-1 B and right
 fraction B A^-1, both spelled letter by letter) and enumerates balls of
 bounded spelling length.  Conjugation by D acts trivially for even m and
 swaps the generators for odd m.
+
+The engine is the one boundary between named words and engine letters.  For
+a word over a named pair (names[i] is letter i) it gives the letters, the
+normal form (element) and the canonical spelling in those names, and a letter
+off the pair is the coded UNKNOWN_GENERATOR; named spells engine letters,
+such as a ball's words, in names.  The caches behind them live here: one
+engine per m, its balls, and the spelling of each engine-letter word, which
+recurs across every pair with the same m.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from .words import GraphError, Word
 
 Simple = tuple[int, int]  # (start letter 0/1, length 1..m)
 Element = tuple[int, tuple[Simple, ...]]  # (power of Delta, proper factors)
@@ -240,10 +250,41 @@ class DihedralEngine:
         """
         return _ball_dict(self.m, radius)
 
+    # -- named words -------------------------------------------------------------
+    @staticmethod
+    def letters(word: Word, names: tuple[str, str]) -> tuple:
+        """The word over the pair names as engine letters: names[i] is letter i."""
+        a, b = names
+        lookup = {(a, 1): (0, 1), (a, -1): (0, -1), (b, 1): (1, 1), (b, -1): (1, -1)}
+        try:
+            return tuple([lookup[letter] for letter in word])
+        except KeyError as exc:
+            raise GraphError("UNKNOWN_GENERATOR", f"{exc.args[0][0]!r} not on the edge") from exc
+
+    @staticmethod
+    def named(letters, names: tuple[str, str]) -> Word:
+        """Engine letters spelled in names: letter i is names[i]."""
+        return tuple([(names[i], s) for i, s in letters])
+
+    def element(self, word: Word, names: tuple[str, str]) -> Element:
+        """Normal form of a word over the pair names."""
+        return self.from_letters(self.letters(word, names))
+
+    def spelling(self, word: Word, names: tuple[str, str]) -> Word:
+        """Canonical spelling, in names, of a word over the pair names."""
+        return self.named(_spelling(self.m, self.letters(word, names)), names)
+
 
 @lru_cache(maxsize=None)
 def engine(m: int) -> DihedralEngine:
     return DihedralEngine(m)
+
+
+@lru_cache(maxsize=1 << 18)
+def _spelling(m: int, letters: tuple) -> tuple:
+    """Canonical spelling of an engine-letter word."""
+    eng = engine(m)
+    return tuple(eng.spell(eng.from_letters(letters)))
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presentation import GraphError
-from .words import Word, free_reduce
+from .words import GraphError, Word, free_reduce
 
 Syllable = tuple[int, int]  # (sign of t, x-exponent residue)
 BSElement = tuple[int, tuple[Syllable, ...]]  # (leading x-exponent, syllables)

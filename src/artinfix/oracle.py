@@ -30,7 +30,10 @@ pairs, the relator rewrite patterns, the odd-component index behind the
 abelianization invariant, and three memos -- syllable spellings, canonical
 forms and rewrite successors.  Each memo is cleared once it passes 2^19
 entries.  Memos hold only values of pure functions of their keys, so a
-verdict never depends on what the process computed before.
+verdict never depends on what the process computed before.  Two-generator
+words reach the Garside engine by name (garside.DihedralEngine.element and
+spelling), which owns the letter encoding and the spellings shared by every
+pair with the same coefficient.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .garside import engine
 from .presentation import DefiningGraph, INFINITY
-from .words import Word, free_reduce, height, odd_components, support
+from .words import Word, delta_word, free_reduce, height, inv, odd_components, support
 
 DEFAULT_BUDGET = 100_000
 
@@ -99,32 +102,18 @@ def _patterns(edges: tuple[tuple[str, str, int], ...]):
     """
     moves: set[tuple[Word, Word]] = set()
     for s, t, m in edges:
-        pos_st = tuple(((s, t)[i % 2], 1) for i in range(m))
-        pos_ts = tuple(((t, s)[i % 2], 1) for i in range(m))
-        relator = pos_st + tuple((n, -sg) for n, sg in reversed(pos_ts))
+        relator = delta_word(m, (s, t)) + inv(delta_word(m, (t, s)))
         size = len(relator)
         for i in range(size):
             rot = relator[i:] + relator[:i]
             for k in range(1, size):
-                u = rot[:k]
-                v = tuple((n, -sg) for n, sg in reversed(rot[k:]))
+                u, v = rot[:k], inv(rot[k:])
                 if u != v:
                     moves.add((u, v))
     index: dict[tuple, list[tuple[Word, Word]]] = {}
     for u, v in sorted(moves):
         index.setdefault(u[0], []).append((u, v))
     return index
-
-
-def _indices(pair: tuple[str, str], word: Word) -> tuple:
-    """The word over a two-generator pair as dihedral engine letters 0/1."""
-    return tuple((0 if n == pair[0] else 1, sg) for n, sg in word)
-
-
-@lru_cache(maxsize=1 << 18)
-def _dihedral_canonical(m: int, idx_word: tuple) -> tuple:
-    eng = engine(m)
-    return tuple(eng.spell(eng.from_letters(idx_word)))
 
 
 def _cancels(x, y) -> bool:
@@ -221,10 +210,7 @@ class _OracleContext:
                     run = word[i:j]
                     block = spellings.get(run)
                     if block is None:
-                        block = tuple(
-                            (pair[k], sg)
-                            for k, sg in _dihedral_canonical(m, _indices(pair, run))
-                        )
+                        block = engine(m).spelling(run, pair)
                         _remember(spellings, run, block)
                     if block != run:
                         low = min(low, len(out))
@@ -313,13 +299,10 @@ def _settle(ctx: _OracleContext, word: Word, runs=None, a: int = 0, t: int = 0) 
 
 def _dihedral_compare(graph: DefiningGraph, u: Word, v: Word, names):
     pair = tuple(sorted(names))
-    if len(pair) == 1:
-        pair = (pair[0], pair[0])
-    m = graph.coefficient(*pair) if pair[0] != pair[1] else INFINITY
-    if pair[0] != pair[1] and m is not INFINITY:
+    m = graph.coefficient(*pair) if len(pair) == 2 else INFINITY
+    if m is not INFINITY:
         eng = engine(int(m))
-        nu = eng.from_letters(_indices(pair, u))
-        nv = eng.from_letters(_indices(pair, v))
+        nu, nv = eng.element(u, pair), eng.element(v, pair)
         if nu == nv:
             return _equal("dihedral-nf", (pair, nu))
         return _not_equal("dihedral-nf", (pair, nu, nv))
@@ -526,11 +509,10 @@ def replay(graph: DefiningGraph, verdict: EqualityVerdict, u: Word, v: Word) -> 
         return u == v
     if verdict.method == "dihedral-nf":
         pair = verdict.certificate[0]
-        m = int(graph.coefficient(*pair))
-        eng = engine(m)
-        nu = eng.from_letters(_indices(pair, u))
-        nv = eng.from_letters(_indices(pair, v))
-        return nu == nv == verdict.certificate[1]
+        if not support(u) | support(v) <= set(pair):
+            return False
+        eng = engine(int(graph.coefficient(*pair)))
+        return eng.element(u, pair) == eng.element(v, pair) == verdict.certificate[1]
     if verdict.method == "canonical":
         return canonical_form(graph, u) == canonical_form(graph, v)
     if verdict.method == "rewrite":

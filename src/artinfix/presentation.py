@@ -12,6 +12,8 @@ builds the derived graphs from which free bases of fixed subgroups are read
 off: the data of a graph automorphism (fixed vertices, transposed pairs), and
 the barycentric "odd component" graph, cut along even-coefficient edge
 vertices, with its two directed edge-labelling conventions.
+
+It sits on words, the bottom layer, and re-exports its GraphError.
 """
 
 from __future__ import annotations
@@ -20,15 +22,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .words import GraphError, delta_word, free_reduce, inv
+
 INFINITY = math.inf
-
-
-class GraphError(ValueError):
-    """Domain error with a stable machine-readable code."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -65,6 +61,10 @@ class DefiningGraph:
             (u, v, m) for u, v, m in self.edge_list if u in vs and v in vs
         )
         return DefiningGraph(vs, es)
+
+    def automorphism(self, images=None) -> "GraphAutomorphism":
+        """The automorphism sending vertices[i] to images[i]; the identity by default."""
+        return GraphAutomorphism(self, self.vertices if images is None else images)
 
     def dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
@@ -175,10 +175,6 @@ class GraphAutomorphism:
             sigma = sigma.compose(self)
             k += 1
         return k
-
-
-def identity_automorphism(g: DefiningGraph) -> GraphAutomorphism:
-    return GraphAutomorphism(g, g.vertices)
 
 
 def graph_automorphisms(g: DefiningGraph) -> list[GraphAutomorphism]:
@@ -305,11 +301,6 @@ class OddComponentGraph:
         return "\n".join(lines)
 
 
-def _delta_word(s: str, t: str, m: int) -> tuple:
-    """Garside element of the dihedral on {s, t}: m letters alternating from s."""
-    return tuple(((s, t)[i % 2], 1) for i in range(m))
-
-
 def _inversion_label(s: str, t: str, m: int) -> tuple:
     """Alternating half-inverted word for the inversion-basis convention.
 
@@ -353,7 +344,7 @@ def gamma_a_odd(
             continue
         if m % 2 == 1:
             en = ("e", u, v)
-            add_edge(("g", u), en, _delta_word(u, v, m) if style == "power" else _inversion_label(u, v, m))
+            add_edge(("g", u), en, delta_word(m, (u, v)) if style == "power" else _inversion_label(u, v, m))
             add_edge(("g", v), en, ())
         else:
             # cut: one pendant copy per side
@@ -381,10 +372,6 @@ def gamma_a_odd(
     return OddComponentGraph(g, base, nodes, edges, labels, style)
 
 
-def _inverse_word(word):
-    return tuple((s, -sg) for s, sg in reversed(word))
-
-
 def _spanning_data(graph: OddComponentGraph):
     adj: dict = {}
     for gn, en in graph.edges:
@@ -394,7 +381,7 @@ def _spanning_data(graph: OddComponentGraph):
     def word_along(frm, to):
         if (frm, to) in graph.labels:
             return graph.labels[(frm, to)]
-        return _inverse_word(graph.labels[(to, frm)])
+        return inv(graph.labels[(to, frm)])
 
     parent: dict = {graph.basepoint: None}
     order = [graph.basepoint]
@@ -427,7 +414,7 @@ def _spanning_data(graph: OddComponentGraph):
 def spanning_paths(graph: OddComponentGraph) -> dict:
     """Word labelling the tree path from the basepoint to each node."""
     order, _, path_word, _ = _spanning_data(graph)
-    return {node: _free_reduce_local(path_word(node)) for node in order}
+    return {node: free_reduce(path_word(node)) for node in order}
 
 
 def pi1_basis(graph: OddComponentGraph) -> list[tuple]:
@@ -447,17 +434,7 @@ def pi1_basis(graph: OddComponentGraph) -> list[tuple]:
         word = (
             path_word(frm)
             + word_along(frm, to)
-            + _inverse_word(path_word(to))
+            + inv(path_word(to))
         )
-        loops.append(_free_reduce_local(word))
+        loops.append(free_reduce(word))
     return loops
-
-
-def _free_reduce_local(word):
-    out = []
-    for letter in word:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)

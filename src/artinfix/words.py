@@ -5,6 +5,10 @@ A word is a tuple of letters (generator name, sign); the empty tuple is the
 identity.  Every operation returns freely reduced words, so concatenation is
 the group multiplication.
 
+This is the bottom layer and imports nothing from the package: every other
+module takes free_reduce, inv, delta_word and the coded GraphError from here,
+and automorphisms are built through their graph (DefiningGraph.automorphism).
+
 Automorphisms of the Artin group built from inner automorphisms, graph
 automorphisms and the global inversion are kept in the normal form
 conj * graph * inversion: the triple (g, sigma, epsilon) acts by
@@ -16,18 +20,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .presentation import (
-    DefiningGraph,
-    GraphAutomorphism,
-    GraphError,
-    identity_automorphism,
-)
+if TYPE_CHECKING:
+    from .presentation import DefiningGraph, GraphAutomorphism
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 
 EMPTY: Word = ()
+DEFAULT_NAMES = ("a", "b")
+
+
+class GraphError(ValueError):
+    """Domain error with a stable machine-readable code."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
 
 
 def free_reduce(letters) -> Word:
@@ -62,6 +72,11 @@ def power(word: Word, k: int) -> Word:
     for _ in range(k):
         out = mul(out, word)
     return out
+
+
+def delta_word(m: int, names: tuple[str, str] = DEFAULT_NAMES) -> Word:
+    """The Garside element of the dihedral on names: m letters alternating from names[0]."""
+    return tuple((names[i % 2], 1) for i in range(m))
 
 
 def height(word: Word) -> int:
@@ -200,15 +215,15 @@ class ArtinAutomorphism:
 
 
 def identity_aut(graph: DefiningGraph) -> ArtinAutomorphism:
-    return ArtinAutomorphism(graph, EMPTY, identity_automorphism(graph), False)
+    return ArtinAutomorphism(graph, EMPTY, graph.automorphism(), False)
 
 
 def inner(graph: DefiningGraph, word: Word) -> ArtinAutomorphism:
-    return ArtinAutomorphism(graph, word, identity_automorphism(graph), False)
+    return ArtinAutomorphism(graph, word, graph.automorphism(), False)
 
 
 def global_inversion(graph: DefiningGraph) -> ArtinAutomorphism:
-    return ArtinAutomorphism(graph, EMPTY, identity_automorphism(graph), True)
+    return ArtinAutomorphism(graph, EMPTY, graph.automorphism(), True)
 
 
 def parse_automorphism(graph: DefiningGraph, text: str) -> ArtinAutomorphism:
@@ -239,9 +254,7 @@ def parse_automorphism(graph: DefiningGraph, text: str) -> ArtinAutomorphism:
         else:
             raise GraphError("PARSE", f"unrecognised clause {clause!r}")
     images = tuple(mapping.get(v, v) for v in graph.vertices)
-    return ArtinAutomorphism(
-        graph, conj, GraphAutomorphism(graph, images), inversion
-    )
+    return ArtinAutomorphism(graph, conj, graph.automorphism(images), inversion)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,10 @@ def test_each_command_registers_only_the_options_it_reads(capsys):
     code, out = run(capsys, ["deligne", "ball", "--graph-text", TRI, "--radius", "1",
                              "--local-bound", "2", "--format", "json"])
     assert code == 0
+    assert json.loads(out)["budgets"] == {"radius": 1, "local_bound": 2}
+    code, out = run(capsys, ["deligne", "ball", "--graph-text", TRI, "--radius", "1",
+                             "--local-bound", "2", "--displacement", "a", "--format", "json"])
+    assert code == 0
     assert json.loads(out)["budgets"] == {"budget": 100000, "radius": 1, "local_bound": 2}
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinfix.garside import IDENTITY, DihedralEngine, _alt, engine
+from artinfix.presentation import GraphError
 
 
 def _rand_letters(rng, length):
@@ -316,3 +317,27 @@ def test_left_fraction_closed_form_matches_reference(m):
         assert eng.spell(elt) == ref.spell(elt)
         num, den = eng.left_fraction(elt)
         assert eng.mul(eng.inv(num), den) == elt
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(MS),
+    letter_words,
+    st.sampled_from((("a", "b"), ("t", "s"))),
+    st.integers(0, 12),
+    st.sampled_from((1, -1)),
+)
+def test_named_words_match_engine_letters(m, letters, names, at, sign):
+    # names[i] is engine letter i; a letter off the pair is a coded error
+    eng = engine(m)
+    word = tuple((names[x], s) for x, s in letters)
+    spelled = tuple(eng.spell(eng.from_letters(letters)))
+    assert eng.letters(word, names) == tuple(letters)
+    assert eng.element(word, names) == eng.from_letters(letters)
+    assert eng.spelling(word, names) == tuple((names[x], s) for x, s in spelled)
+    assert eng.named(spelled, names) == eng.spelling(word, names)
+    off = word[:at] + (("c", sign),) + word[at:]
+    for convert in (eng.letters, eng.element, eng.spelling):
+        with pytest.raises(GraphError) as err:
+            convert(off, names)
+        assert err.value.code == "UNKNOWN_GENERATOR"

@@ -81,3 +81,48 @@ def test_every_library_function_is_referenced():
         and name not in referenced
     ]
     assert not unreferenced, unreferenced
+
+
+def _decorator_name(node) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_function_caches_live_in_garside():
+    # the Garside engine owns the process-wide caches (one engine per m, its
+    # balls and spellings); per-graph memos belong on the oracle context
+    hits = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "garside.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    if _decorator_name(deco) in ("lru_cache", "cache"):
+                        hits.append(f"{path.name}:{node.lineno}")
+    assert not hits, hits
+
+
+def test_words_imports_nothing_from_the_package():
+    # words is the bottom layer; imports for type checking only are allowed
+    tree = ast.parse((SOURCE / "words.py").read_text(encoding="utf-8"))
+    typing_only = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        for sub in ast.walk(node)
+    }
+    hits = []
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            modules = [("." * node.level) + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        hits += [f"words.py:{node.lineno} {name}" for name in modules
+                 if name.startswith(".") or name.split(".")[0] == "artinfix"]
+    assert not hits, hits

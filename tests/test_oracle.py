@@ -25,6 +25,21 @@ def test_braid_relation_equal(edge3):
     assert replay(edge3, verdict, parse_word("a b a"), parse_word("b a b"))
 
 
+def test_dihedral_certificate_does_not_replay_off_its_pair():
+    # a tampered pair of endpoints: the a-b certificate for "a b a = b a b"
+    # says nothing about a c a and c a c, which differ since a-c has m = 4
+    from artinfix.presentation import validate_graph
+
+    graph = validate_graph([("a", "b", 3), ("a", "c", 4), ("b", "c", 3)])
+    u, v = parse_word("a c a"), parse_word("c a c")
+    verdict = word_equal(graph, parse_word("a b a"), parse_word("b a b"))
+    assert verdict.method == "dihedral-nf"
+    assert replay(graph, verdict, parse_word("a b a"), parse_word("b a b"))
+    assert word_equal(graph, u, v).is_not_equal
+    assert not replay(graph, verdict, u, v)
+    assert not replay(graph, verdict, parse_word("a b a"), v)
+
+
 def test_even_edge_abelianization_separates(edge4):
     verdict = word_equal(edge4, parse_word("a"), parse_word("b"))
     assert verdict.is_not_equal
@@ -200,7 +215,7 @@ def _reference_syllables(graph, word):
 
 def reference_canonical_form(graph, word):
     """Respell every maximal two-generator run, for at most six passes."""
-    from artinfix.oracle import _dihedral_canonical
+    from artinfix.garside import engine
 
     word = free_reduce(word)
     for _ in range(6):
@@ -208,8 +223,8 @@ def reference_canonical_form(graph, word):
         for names, run in _reference_syllables(graph, word):
             if len(names) == 2:
                 pair = tuple(sorted(names))
-                m = int(graph.coefficient(*pair))
-                spelled = _dihedral_canonical(m, tuple((pair.index(n), sg) for n, sg in run))
+                eng = engine(int(graph.coefficient(*pair)))
+                spelled = eng.spell(eng.from_letters((pair.index(n), sg) for n, sg in run))
                 out.extend((pair[i], sg) for i, sg in spelled)
             else:
                 out.extend(run)
