@@ -15,20 +15,30 @@ part acting elliptically.
 
   inner (ID, or odd m without iota): Fix(conj_w) = C(w), from the one
       centraliser: the whole group for central w, Z for elliptic w (the
-      conjugated vertex stabiliser), Z^2 for hyperbolic w (a minimal axis
-      element together with the centre);
-  inversion (AB, or odd m with iota): {1} at finite order, else Z generated
-      by a root of the twisted product g . sigma iota(g);
+      conjugated vertex stabiliser), Z^2 for hyperbolic w (its root together
+      with the centre);
+  inversion (AB, or odd m with iota): {1} at finite order, else Z, the
+      height-zero part of C(z0) for the twisted product z0 = g . sigma iota(g);
   BG: at finite order Z, the conjugated stabiliser of a fixed vertex, or the
       centre when only an inverted edge midpoint is fixed; else Z^2, the
-      centraliser of the squared inner part;
+      centraliser of the squared inner part, on which it acts trivially;
   AG: at finite order Z, the axis generator picked by the residual power
-      at a fixed vertex; else the root of the twisted product, as for AB.
+      at a fixed vertex; else as for AB.
+
+Roots are read off the cyclically reduced tree form, with no search.  Modulo
+the centre <z> the group is Z/n * Z (m = 2n) or Z/2 * Z/m (m odd), where a
+hyperbolic w has a cyclic centraliser, generated by the root r whose tree
+word is the shortest period of the syllables of w's core.  A commutator has
+height 0 and a nontrivial central element does not, so C(w) is the whole
+preimage <r, z>.  An inversion case squares to conj_z0, fixes z0 and negates
+height; it fixes z and r up to z, and so exactly the height-zero part of
+C(z0) = <r, z>: the cyclic group on r^(h(z)/d) z^(-h(r)/d), d = gcd(h(r), h(z)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import amalgam as am
 from . import hnn
@@ -44,10 +54,8 @@ from .words import (
     height,
     inv,
     mul,
+    power,
 )
-
-_ROOT_SEARCH = 8  # length of the brute fixed-element scan behind a cyclic root
-
 
 def edge_graph(m: int, names: tuple[str, str] = DEFAULT_NAMES) -> DefiningGraph:
     return validate_graph([(names[0], names[1], m)])
@@ -383,59 +391,68 @@ def tree_translation(m: int, word: Word, names: tuple[str, str] = DEFAULT_NAMES)
     return am.am_translation_length(m, am.am_from_artin(m, word, names))
 
 
-def _t_exponent(m: int, word: Word, names) -> int:
-    """Exponent sum of t in the HNN letters; defined for even m."""
-    n = m // 2
-    total = 0
-    for kind, val in hnn.bs_tokens(hnn.bs_from_artin(n, word, names)):
-        if kind == "t":
-            total += val
-    return total
+def _period(syls) -> int:
+    """The least p dividing len(syls) with syls the p-periodic repetition of syls[:p]."""
+    k = len(syls)
+    return next(p for p in range(1, k + 1) if k % p == 0 and syls[p:] == syls[:-p])
 
 
-def _axis_minimal(m: int, w: Word, names):
-    """Minimal-translation element commuting with a hyperbolic w, by a radius-7 ball scan.
+def _root(m: int, w: Word, names):
+    """(root, translation) of a hyperbolic w, with C(w) = <root, centre>.
 
-    Returns (word, translation, provably_minimal).  Minimality is certain when
-    the translation is 1 (even tree) or 2 (odd, bipartite tree), or when a
-    parity invariant rules out a smaller root; otherwise the flag is False.
+    w = conj . core . conj^-1 with the core cyclically reduced, so the core's
+    axis runs through the base vertex (even m) or the base edge (odd m).  An
+    element commuting with the core modulo the centre translates along that
+    axis, so its tree word is a period of the core's syllables; the shortest
+    period, conjugated back, is the root.  C(w) is the whole preimage of that
+    cyclic group, as a commutator has height 0 and no nontrivial central
+    element does.
     """
-    eng = engine(m)
-    wkey = eng.element(w, names)
-    best = None
-    for key, word_idx in eng.ball(7).items():
-        if key == (0, ()) or eng.mul(key, wkey) != eng.mul(wkey, key):
-            continue
-        cand = eng.named(word_idx, names)
-        ell = tree_translation(m, cand, names)
-        if ell == 0:
-            continue
-        # prefer short, positively signed representatives
-        style = tuple((i, 0 if s > 0 else 1) for i, s in word_idx)
-        entry = (ell, len(word_idx), style, cand)
-        if best is None or entry < best:
-            best = entry
-    if best is None:
-        ell_w = tree_translation(m, w, names)
-        return w, ell_w, False
-    ell, _, _, cand = best
-    if m % 2 == 1:
-        proven = ell == 2
-    else:
-        proven = ell == 1 or (
-            ell == 2 and (height(cand) % 2 == 1 or _t_exponent(m, cand, names) % 2 == 1)
-        )
-    return cand, ell, proven
+    if m % 2 == 0:
+        n = m // 2
+        conj, (_, syls) = hnn.bs_cyclic_reduce(n, hnn.bs_from_artin(n, w, names))
+        p = _period(syls)
+        root = hnn.bs_mul(n, conj, (0, syls[:p]), hnn.bs_inv(n, conj))
+        return hnn.bs_to_artin(n, root, names), p
+    conj, (_, syls) = am.am_cyclic_reduce(m, am.am_from_artin(m, w, names))
+    p = _period(syls)
+    root = am.am_mul(m, conj, (0, syls[:p]), am.am_inv(m, conj))
+    return am.am_to_artin(m, root, names), p
 
 
-def _centralizer(m: int, g: Word, names):
-    """C(g) by the action of g on the tree: (kind, generators, exact, witness, translation).
+def _shortest(spellings) -> Word:
+    """The shortest spelling; ties go by letters, a positive letter before its inverse."""
+    return min(spellings, key=lambda sp: (len(sp), tuple((x, s < 0) for x, s in sp)))
+
+
+def _axis(m: int, w: Word, names, respelled: bool):
+    """(axis generator, translation): a short r^(+-1) z^j beside the centre z in C(w) = Z^2.
+
+    The candidates are r^(+-1) z^j for j near the power that cancels their
+    height, and w^(+-1) when w is primitive (translates by the root's own
+    length).  A generator that will be respelled is picked by its canonical
+    spelling; otherwise a candidate's reduced word counts as a spelling too.
+    """
+    r, p = _root(m, w, names)
+    z = center_word(m, names)
+    candidates = [w, inv(w)] if tree_translation(m, w, names) == p else []
+    for base in (r, inv(r)):
+        j0 = -round(height(base) / height(z))
+        candidates += [mul(base, power(z, j)) for j in range(j0 - 2, j0 + 3)]
+    spellings = [engine(m).spelling(c, names) for c in candidates]
+    if not respelled:
+        spellings += [free_reduce(c) for c in candidates]
+    return _shortest(spellings), p
+
+
+def _centralizer(m: int, g: Word, names, respelled: bool):
+    """C(g) by the action of g on the tree: (kind, generators, witness, translation).
 
     kind is CENTRAL (the whole group), ELLIPTIC_Z (the stabiliser of the
-    fixed vertex, conjugated by the witness h) or HYPERBOLIC_Z2 (a minimal
-    axis element and the centre, with the axis translation; exact when that
-    element is provably minimal).  Witness and translation are () and None
-    where they do not apply.
+    fixed vertex, conjugated by the witness h) or HYPERBOLIC_Z2 (the root of
+    g times a central power, and the centre, with the root's translation;
+    respelled as in _axis).  Witness and translation are () and None where
+    they do not apply.
     """
     whole = (((names[0], 1),), ((names[1], 1),))
     ab = ((names[0], 1), (names[1], 1))
@@ -444,7 +461,7 @@ def _centralizer(m: int, g: Word, names):
         n = m // 2
         e = hnn.bs_from_artin(n, g, names)
         if hnn.bs_is_central(n, e):
-            return "CENTRAL", whole, True, (), None
+            return "CENTRAL", whole, (), None
         data = hnn.bs_elliptic_data(n, e)
         if data is not None:
             h = hnn.bs_to_artin(n, data[0], names)
@@ -452,15 +469,15 @@ def _centralizer(m: int, g: Word, names):
     else:
         e = am.am_from_artin(m, g, names)
         if am.am_is_central(m, e):
-            return "CENTRAL", whole, True, (), None
+            return "CENTRAL", whole, (), None
         data = am.am_elliptic_data(m, e)
         if data is not None and data[1] != "z":
             h = am.am_to_artin(m, data[0], names)
             core = delta_word(m, names) if data[1] == "x" else ab
     if core is not None:
-        return "ELLIPTIC_Z", (free_reduce(mul(h, core, inv(h))),), True, h, None
-    axis, ell, proven = _axis_minimal(m, g, names)
-    return "HYPERBOLIC_Z2", (axis, center_word(m, names)), proven, (), ell
+        return "ELLIPTIC_Z", (free_reduce(mul(h, core, inv(h))),), h, None
+    axis, ell = _axis(m, g, names, respelled)
+    return "HYPERBOLIC_Z2", (axis, center_word(m, names)), (), ell
 
 
 def centralizer_class(kind: str, names) -> FixClass:
@@ -475,54 +492,34 @@ def dihedral_centralizer(m: int, g: Word, names: tuple[str, str] = DEFAULT_NAMES
     g = free_reduce(g)
     if not g:
         raise GraphError("TRIVIAL_ELEMENT", "the identity has the whole group")
-    kind, gens, exact, _, ell = _centralizer(m, g, names)
+    kind, gens, _, ell = _centralizer(m, g, names, respelled=False)
     note = {"CENTRAL": "central element", "ELLIPTIC_Z": "vertex stabiliser"}.get(
         kind, f"axis translation {ell}"
     )
-    return kind, gens, exact, note
+    return kind, gens, True, note
 
 
 # ---------------------------------------------------------------------------
-# Roots of cyclic fixed subgroups.
-
-
-def _refine_cyclic(m: int, aut: ArtinAutomorphism, z0: Word, names):
-    """Smallest fixed element generating every ball-fixed element, plus z0.
-
-    Returns (generator, exact, note).  Exactness uses the tree parity
-    obstructions where they apply; otherwise the generator is only known to
-    span the fixed elements seen in the search ball.
-    """
-    eng = engine(m)
-    fixed = brute_fixed(m, aut, _ROOT_SEARCH, names)
-    fixed = [w for w in fixed if w]
-    z0 = free_reduce(z0)
-    candidates = fixed + ([z0] if z0 not in fixed else [])
-    targets = {eng.element(w, names) for w in candidates}
-    for r in candidates:
-        if targets <= set(_powers(eng, eng.element(r, names), 64)):
-            ell = tree_translation(m, r, names)
-            if m % 2 == 1:
-                exact = ell == 2
-                note = "bipartite tree forbids a proper root" if exact else ""
-            else:
-                exact = ell == 2 and aut.inversion
-                note = (
-                    "a proper root would translate by 1 and have odd height"
-                    if exact
-                    else ""
-                )
-            if not exact:
-                note = f"no proper root within the length-{_ROOT_SEARCH} ball"
-            return r, exact, note
-    return z0, False, "fixed elements in the ball are not all powers of one element"
+# The twisted root.
 
 
 def _twisted_root(m: int, aut: ArtinAutomorphism, names, notes=()):
-    """Fix of an infinite-order AB, AG or odd inversion: Z, by a root of g . sigma iota(g)."""
+    """Fix of an infinite-order AB, AG or odd inversion: Z, the height-zero part of C(z0).
+
+    The automorphism squares to conj_z0 for z0 = g . sigma iota(g), so Fix
+    lies in C(z0) = <r, z>, r the root of z0.  It fixes z0, so it sends r to
+    r z^j, and negates height, so it fixes exactly the height-zero elements,
+    generated by r^(h(z)/d) z^(-h(r)/d) with d = gcd(h(r), h(z)).
+    """
     g = aut.conj
-    gen, exact, note = _refine_cyclic(m, aut, mul(g, aut.graph_part(g)), names)
-    return normalize_class("Z"), (gen,), exact, (), notes + (note,)
+    r, p = _root(m, mul(g, aut.graph_part(g)), names)
+    z = center_word(m, names)
+    hr, hz = height(r), height(z)
+    d = gcd(hr, hz)
+    gen = mul(power(r, hz // d), power(z, -hr // d))
+    note = f"height-zero part of the twisted product's centraliser, root translation {p}"
+    spellings = [engine(m).spelling(w, names) for w in (gen, inv(gen))]
+    return normalize_class("Z"), (_shortest(spellings),), (), notes + (note,)
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +562,11 @@ def _fixed_vertex_search(n: int, tree: hnn.TreeAut, radius: int | None = None):
 
 def _fix_inner(m: int, w: Word, names, central_note: str):
     """Fix(conj_w) = C(w), with w central, elliptic or hyperbolic."""
-    kind, gens, exact, witness, ell = _centralizer(m, w, names)
+    kind, gens, witness, ell = _centralizer(m, w, names, respelled=True)
     notes = {"CENTRAL": (central_note,), "ELLIPTIC_Z": ()}.get(
         kind, (f"axis element of translation length {ell}",)
     )
-    return centralizer_class(kind, names), gens, exact, witness, notes
+    return centralizer_class(kind, names), gens, witness, notes
 
 
 def _fix_even(m: int, aut: ArtinAutomorphism, names):
@@ -582,15 +579,14 @@ def _fix_even(m: int, aut: ArtinAutomorphism, names):
     if cls.tag in ("AB", "AG") and not finite:
         return _twisted_root(m, aut, names)
     if cls.tag == "AB":
-        return normalize_class("TRIVIAL"), (), True, (), ()
+        return normalize_class("TRIVIAL"), (), (), ()
     delta = delta_word(m, names)
-    if not finite:  # BG
+    if not finite:  # BG: the automorphism acts trivially on C(h0), so Fix = C(h0)
         h0_artin = hnn.bs_to_artin(n, _squared_inner(n, cls), names)
-        axis, ell, proven = _axis_minimal(m, h0_artin, names)
+        axis, ell = _axis(m, h0_artin, names, respelled=True)
         return (
             normalize_class("Z2"),
             (axis, delta),
-            proven,
             (),
             (f"centraliser of the squared inner part, axis translation {ell}",),
         )
@@ -605,7 +601,6 @@ def _fix_even(m: int, aut: ArtinAutomorphism, names):
         return (
             normalize_class("Z"),
             (delta,),
-            True,
             (),
             ("only an inverted edge midpoint is fixed",),
         )
@@ -613,7 +608,7 @@ def _fix_even(m: int, aut: ArtinAutomorphism, names):
     h = hnn.bs_to_artin(n, rep, names)
     if cls.tag == "BG":
         gen = free_reduce(mul(h, ((names[0], 1), (names[1], 1)), inv(h)))
-        return normalize_class("Z"), (gen,), True, h, ()
+        return normalize_class("Z"), (gen,), h, ()
     u = hnn.bs_mul(n, hnn.bs_inv(n, rep), cls.inner, hnn.bs_psi(n, "AG").apply(rep))
     if u[1]:
         raise GraphError(
@@ -625,7 +620,6 @@ def _fix_even(m: int, aut: ArtinAutomorphism, names):
     return (
         normalize_class("Z"),
         (gen,),
-        True,
         h,
         (f"axis generator for residual power k={k}, n={n}",),
     )
@@ -636,11 +630,11 @@ def _fix_odd(m: int, aut: ArtinAutomorphism, names):
     notes = ("odd coefficient: the graph swap is inner by the Garside element",) if sigma else ()
     if inversion:
         if is_finite_order(m, aut, names):
-            return normalize_class("TRIVIAL"), (), True, (), notes
+            return normalize_class("TRIVIAL"), (), (), notes
         return _twisted_root(m, aut, names, notes)
     w = mul(g, delta_word(m, names)) if sigma else g
-    fix_class, gens, exact, witness, inner_notes = _fix_inner(m, w, names, "inner by a central element")
-    return fix_class, gens, exact, witness, notes + inner_notes
+    fix_class, gens, witness, inner_notes = _fix_inner(m, w, names, "inner by a central element")
+    return fix_class, gens, witness, notes + inner_notes
 
 
 def dihedral_fix(
@@ -648,10 +642,11 @@ def dihedral_fix(
 ) -> FixReport:
     """Isomorphism type and generators of the fixed subgroup, with certificates.
 
-    The case analysis (_fix_even, _fix_odd) returns (class, generators, exact,
-    witness, notes); the report carries the generators in Garside spelling.
+    The case analysis (_fix_even, _fix_odd) returns (class, generators,
+    witness, notes), and its generators span Fix itself; the report carries
+    them in Garside spelling.
     """
     fix = _fix_odd if m % 2 else _fix_even
-    fix_class, gens, exact, witness, notes = fix(m, aut, names)
+    fix_class, gens, witness, notes = fix(m, aut, names)
     spelled = tuple(engine(m).spelling(w, names) for w in gens)
-    return certified_report(aut, fix_class, spelled, exact, witness, notes)
+    return certified_report(aut, fix_class, spelled, True, witness, notes)

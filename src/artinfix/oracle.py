@@ -509,13 +509,13 @@ def replay(graph: DefiningGraph, verdict: EqualityVerdict, u: Word, v: Word) -> 
         return u == v
     if verdict.method == "dihedral-nf":
         pair = verdict.certificate[0]
-        if not support(u) | support(v) <= set(pair):
+        if not graph.has_edge(*pair) or not support(u) | support(v) <= set(pair):
             return False
         eng = engine(int(graph.coefficient(*pair)))
         return eng.element(u, pair) == eng.element(v, pair) == verdict.certificate[1]
     if verdict.method == "canonical":
         return canonical_form(graph, u) == canonical_form(graph, v)
-    if verdict.method == "rewrite":
+    if verdict.method == "rewrite" and len(verdict.certificate) == 4:
         cu, forward, backward, cv = verdict.certificate
         if canonical_form(graph, u) != cu or canonical_form(graph, v) != cv:
             return False

@@ -111,6 +111,13 @@ def test_dihedral_fix(capsys):
     assert data["generators"][0] in ("a- b- a b", "a b a- b-", "b a b- a-", "b- a- b a")
 
 
+def test_dihedral_fix_long_conjugator_is_exact(capsys):
+    # the root of the twisted product is far outside any small ball
+    code, out = run(capsys, ["dihedral", "fix", "--m", "3", "--aut", "conj a^40 b^-40 ; invert"])
+    assert code == 0
+    assert "span        the fixed subgroup" in out
+
+
 def test_dihedral_tree(capsys):
     code, out = run(
         capsys,

@@ -20,7 +20,7 @@ from artinfix.dihedral import (
     words_equal,
 )
 from artinfix.presentation import GraphError
-from artinfix.words import format_word, inv, mul, parse_automorphism, parse_word, power
+from artinfix.words import format_word, free_reduce, inv, mul, parse_automorphism, parse_word, power
 
 
 def AUT(m, dsl):
@@ -94,6 +94,38 @@ def test_centralizer_cases_even():
     assert words_equal(4, gens[1], delta_word(4))
 
 
+def _central(m, w):
+    return all(nf_key(m, mul(w, x)) == nf_key(m, mul(x, w)) for x in (parse_word("a"), parse_word("b")))
+
+
+@pytest.mark.parametrize(
+    "m, root, k", [(3, "a^5 b^-5", 2), (4, "a^4 b^-4", 2), (5, "a^3 b- a- b^-3", 3), (6, "b^5 a-", 2)]
+)
+def test_centralizer_axis_is_a_root(m, root, k):
+    # w = r^k with r longer than any small ball reaches: the axis generator is
+    # a root of w, so w axis^(-+l) is central for l = l(w)/l(axis), a multiple of k
+    w = power(parse_word(root), k)
+    tag, (axis, _), exact, _ = dihedral_centralizer(m, w)
+    assert tag == "HYPERBOLIC_Z2" and exact
+    ell, rest = divmod(tree_translation(m, w), tree_translation(m, axis))
+    assert rest == 0 and ell % k == 0
+    assert _central(m, mul(w, power(axis, -ell))) or _central(m, mul(w, power(axis, ell)))
+
+
+def test_centralizer_axis_divides_random_hyperbolic_elements():
+    rng = random.Random(16)
+    letters = [(x, s) for x in "ab" for s in (1, -1)]
+    for m in (3, 4, 5, 6, 7, 8, 10):
+        for _ in range(12):
+            w = free_reduce(tuple(rng.choices(letters, k=rng.randint(1, 9))))
+            if not w or tree_translation(m, w) == 0:
+                continue
+            _, (axis, _), _, _ = dihedral_centralizer(m, w)
+            ell, rest = divmod(tree_translation(m, w), tree_translation(m, axis))
+            assert rest == 0
+            assert _central(m, mul(w, power(axis, -ell))) or _central(m, mul(w, power(axis, ell)))
+
+
 def test_centralizer_cases_odd():
     tag, gens, exact, _ = dihedral_centralizer(3, mul(delta_word(3), delta_word(3)))
     assert tag == "CENTRAL"
@@ -147,7 +179,7 @@ def test_fix_inner_infinite_order():
     z0 = mul(parse_word("a b"), parse_word("a- b-"))  # g iota(g), letterwise inversion
     key = nf_key(4, rep.generators[0])
     assert key in (nf_key(4, z0), nf_key(4, inv(z0)))
-    assert rep.exact  # the tree parity argument applies here
+    assert rep.exact
 
 
 def test_fix_identity_like():

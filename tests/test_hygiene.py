@@ -126,3 +126,20 @@ def test_words_imports_nothing_from_the_package():
         hits += [f"words.py:{node.lineno} {name}" for name in modules
                  if name.startswith(".") or name.split(".")[0] == "artinfix"]
     assert not hits, hits
+
+
+def test_dihedral_reads_balls_only_in_the_brute_force_oracles():
+    # roots and centralisers are read off the tree forms; a ball scan or a
+    # brute fixed-element search belongs to the acceptance oracles alone
+    tree = ast.parse((SOURCE / "dihedral.py").read_text(encoding="utf-8"))
+    hits = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef) or func.name in ("brute_fixed", "subgroup_ball"):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Attribute) and node.func.attr == "ball")
+                or (isinstance(node.func, ast.Name) and node.func.id == "brute_fixed")
+            ):
+                hits.append(f"dihedral.py:{node.lineno} in {func.name}")
+    assert not hits, hits

@@ -40,6 +40,19 @@ def test_dihedral_certificate_does_not_replay_off_its_pair():
     assert not replay(graph, verdict, parse_word("a b a"), v)
 
 
+def test_forged_certificates_do_not_replay():
+    # on the path a-b-c: a normal-form certificate naming the non-edge a-c,
+    # and a rewrite certificate with no trace, are refused without raising
+    from artinfix.oracle import EqualityVerdict
+    from artinfix.presentation import validate_graph
+
+    graph = validate_graph([("a", "b", 3), ("b", "c", 3)])
+    u, v = parse_word("a c a"), parse_word("c a c")
+    nf = EqualityVerdict("EQUAL", "dihedral-nf", (("a", "c"), (0, ())))
+    assert not replay(graph, nf, u, v)
+    assert not replay(graph, EqualityVerdict("EQUAL", "rewrite", ()), u, v)
+
+
 def test_even_edge_abelianization_separates(edge4):
     verdict = word_equal(edge4, parse_word("a"), parse_word("b"))
     assert verdict.is_not_equal

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from artinfix import amalgam as am
 from artinfix import hnn
-from artinfix.dihedral import delta_word, dihedral_centralizer, edge_graph, nf_key
+from artinfix.dihedral import (
+    brute_fixed,
+    delta_word,
+    dihedral_centralizer,
+    dihedral_fix,
+    edge_graph,
+    nf_key,
+    subgroup_ball,
+)
 from artinfix.oracle import word_equal
 from artinfix.presentation import graph_automorphisms, validate_graph
 from artinfix.words import ArtinAutomorphism, free_reduce, inv, mul, power
@@ -90,6 +98,27 @@ def test_centralizer_generators_commute(case):
     event(kind)
     for z in gens:
         assert nf_key(m, mul(z, g)) == nf_key(m, mul(g, z))
+
+
+@st.composite
+def edge_automorphisms(draw):
+    """(m, conj_g . sigma^d . iota^e) on one edge, |g| <= 4."""
+    m = draw(st.sampled_from(MS))
+    graph = edge_graph(m)
+    perm = draw(st.sampled_from(graph_automorphisms(graph)))
+    return m, ArtinAutomorphism(graph, free_reduce(draw(words(max_size=4))), perm, draw(st.booleans()))
+
+
+@bounded(60)
+@given(edge_automorphisms())
+def test_dihedral_fix_is_exact_against_brute_force(case):
+    m, aut = case
+    rep = dihedral_fix(m, aut)
+    event(rep.fix_class.tag)
+    assert rep.exact
+    brute = {nf_key(m, w) for w in brute_fixed(m, aut, 7)}
+    whole = rep.fix_class.tag == "ARTIN"
+    assert subgroup_ball(m, rep.generators, 7, whole_group=whole) == brute
 
 
 @st.composite
