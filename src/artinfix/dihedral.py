@@ -31,8 +31,9 @@ hyperbolic w has a cyclic centraliser, generated by the root r whose tree
 word is the shortest period of the syllables of w's core.  A commutator has
 height 0 and a nontrivial central element does not, so C(w) is the whole
 preimage <r, z>.  An inversion case squares to conj_z0, fixes z0 and negates
-height; it fixes z and r up to z, and so exactly the height-zero part of
-C(z0) = <r, z>: the cyclic group on r^(h(z)/d) z^(-h(r)/d), d = gcd(h(r), h(z)).
+height; it sends z to z^-1 and r to r times a power of z, and so fixes exactly
+the height-zero part of C(z0) = <r, z>: the cyclic group on
+r^(h(z)/d) z^(-h(r)/d), d = gcd(h(r), h(z)).
 """
 
 from __future__ import annotations
