@@ -35,6 +35,14 @@ print("\ncanonical forms collapse two-generator syllables:")
 w = parse_word("a a b a b- a- c")
 print("  ", format_word(w), "->", format_word(canonical_form(triangle, w)))
 
+print("\nabc vs acb (their images in the Coxeter group differ):")
+v = word_equal(triangle, parse_word("a b c"), parse_word("a c b"))
+print("  ", v.status, "via", v.method)
+
+print("\nsquares die in the Coxeter group, so no invariant separates these:")
+v = word_equal(triangle, parse_word("a^2 b^2 c^2"), parse_word("c^2 b^2 a^2"), budget=50)
+print("  ", v.status, f"(honestly undecided after {v.expansions} expansions)")
+
 print("\nfixedness is equality after applying the automorphism:")
 gamma = parse_automorphism(triangle, "conj a ; invert")
 loop = parse_word("c- a b- c a- b")
@@ -44,4 +52,4 @@ print("\nbudgeted membership in a standard parabolic:")
 r = member_of_parabolic(triangle, parse_word("a b a b- a-"), {"a", "b"})
 print("  a b a b- a- in <a,b>:", r.status, "rewritten:", format_word(r.rewritten))
 r = member_of_parabolic(triangle, parse_word("c"), {"a", "b"}, budget=50)
-print("  c in <a,b>:", r.status, "(honestly undecided at this budget)")
+print("  c in <a,b>:", r.status, "via", r.certificate[0], "(its reflection is not in W_ab)")

@@ -126,7 +126,7 @@ def _coset_contains(graph: DefiningGraph, S: tuple[str, ...], u: Word, budget: i
 
     A base coset compares u with 1 and a generator coset with the power of the
     generator that height forces; an edge coset asks parabolic membership,
-    whose NOT_MEMBER is a sound abelianization obstruction.
+    whose NOT_MEMBER is a sound abelianization or Coxeter-image obstruction.
     """
     if len(S) == 2:
         status = member_of_parabolic(graph, u, set(S), budget).status
@@ -240,12 +240,13 @@ def build_ball(
 
     Coset deduplication is representative-first: canonical stripped
     representatives collide by hash, and base-orbit candidates that share all
-    cheap invariants with an existing vertex get a budget-0 oracle check.
-    An UNKNOWN there creates a fresh vertex and marks the ball DEGRADED.
+    cheap invariants (height, abelianization, Coxeter image) with an existing
+    vertex get a budget-0 oracle check.  An UNKNOWN there creates a fresh
+    vertex and marks the ball DEGRADED.
     """
     ball = DeligneBall(graph, radius, local_bound)
     buckets: dict = {}  # (S, invariants) -> [vid, ...], base orbit only
-    abelianization = _context(graph).abelianization
+    ctx = _context(graph)
 
     def local_len(m: int) -> int:
         return local_bound if local_bound is not None else 2 * m
@@ -259,7 +260,7 @@ def build_ball(
         rep = key[1]
         bucket_key = None
         if not S:
-            bucket_key = ((), height(rep), abelianization(rep))
+            bucket_key = ((), height(rep), ctx.abelianization(rep), ctx.image(rep))
             for vid in buckets.get(bucket_key, ()):
                 status = _coset_contains(graph, (), mul(inv(ball.vertices[vid].rep), rep), 0)
                 if status == "EQUAL":

@@ -6,8 +6,13 @@ certificate: either the two words coincide after free reduction, or they lie
 in a common two-generator fragment where the Garside normal form is a
 complete invariant, or a chain of single relator rewrites connecting them was
 found.  NOT_EQUAL is only returned with a separating invariant: height,
-abelianization class vector, freeness of an infinite-coefficient fragment, or
-distinct dihedral normal forms.  Anything else is UNKNOWN, never silently
+abelianization class vector, freeness of an infinite-coefficient fragment,
+distinct dihedral normal forms, or distinct images in the Coxeter group W
+(the quotient s^2 = 1, through its Tits representation reduced mod a prime).
+NOT_MEMBER likewise comes from the abelianization, or from a Coxeter image
+outside the finite parabolic W_X.  The Coxeter image is checked before the
+rewrite search, so what stays UNKNOWN lies in the kernel of A -> W or is an
+equality the search cannot reach.  Anything else is UNKNOWN, never silently
 coerced to a definite answer.
 
 The rewrite search works on canonicalized words: maximal two-generator
@@ -27,8 +32,9 @@ Everything the oracle derives from a defining graph lives in one per-graph
 context, built on first use and held by the graph instance itself (a private
 field outside its equality, hash and repr): the ordered table of finite
 pairs, the relator rewrite patterns, the odd-component index behind the
-abelianization invariant, and three memos -- syllable spellings, canonical
-forms and rewrite successors.  Each memo is cleared once it passes 2^19
+abelianization invariant, the Coxeter image with the probe orbits of the
+finite parabolics, and three memos -- syllable spellings, canonical forms and
+rewrite successors.  Each of those three is cleared once it passes 2^19
 entries.  Memos hold only values of pure functions of their keys, so a
 verdict never depends on what the process computed before.  Two-generator
 words reach the Garside engine by name (garside.DihedralEngine.element and
@@ -42,10 +48,12 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .garside import engine
 from .presentation import DefiningGraph, INFINITY
-from .words import Word, delta_word, free_reduce, height, inv, odd_components, support
+from .words import GraphError, Word, delta_word, free_reduce, height, inv, odd_components, support
 
 DEFAULT_BUDGET = 100_000
 
@@ -116,6 +124,100 @@ def _patterns(edges: tuple[tuple[str, str, int], ...]):
     return index
 
 
+def _is_prime(n: int) -> bool:
+    """Strong probable prime to the first thirteen prime bases: proven prime
+    below 3.3e24.  The Coxeter image's self-check, not this test, is what its
+    soundness rests on."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        if n == a:
+            return True
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n > 1
+
+
+def _prime_factors(n: int) -> set[int]:
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | {n} - {1}
+
+
+def _coxeter_image(vertices: tuple[str, ...], edges: tuple[tuple[str, str, int], ...]):
+    """(p, rows, index): the Tits representation of the Coxeter group W, reduced mod p.
+
+    Let L be the lcm of the finite labels.  p is the least prime above 2^31 with
+    p = 1 (mod 2L), and w an element of exact order 2L in F_p.  The Tits
+    representation (Humphreys, Reflection Groups and Coxeter Groups, 5.3-5.4)
+    lets s act on the basis (e_t) as the reflection x -> x + (c . x) e_s, with
+    c_s = -2, c_t = 2cos(pi/m_st) on an edge and 2 off one.  Its entries lie
+    in Z[zeta] for a primitive 2L-th root of unity zeta, as 2cos(pi/m) =
+    zeta^(L/m) + zeta^-(L/m).  The ring map Z[zeta] -> F_p, zeta -> w, is well
+    defined: w is a root of the cyclotomic polynomial of order 2L, the minimal
+    polynomial of zeta.  So the reduced matrices still satisfy every braid
+    relation and square to 1, and s -> sigma_s is a homomorphism
+    A -> W -> GL(V, F_p) that forgets the sign of each letter.
+
+    rows[index[s]] replaces coordinate i = index[s] when s acts:
+    x_i -> -x_i + sum of c_t x_t over t != s.  The image
+    checks itself on every basis vector instead of trusting the argument:
+    each sigma_s squares to 1, and both sides of each edge's braid relation
+    act alike.
+    """
+    order = 2 * lcm(1, *(m for _, _, m in edges))
+    p = ((1 << 31) // order + 1) * order + 1
+    while not _is_prime(p):
+        p += order
+    primes = set().union({2}, *(_prime_factors(m) for _, _, m in edges))
+    g = 2  # w = g^((p-1)/2L) has exact order 2L unless g^((p-1)/q) = 1 for a prime q | 2L
+    while any(pow(g, (p - 1) // q, p) == 1 for q in primes):
+        g += 1
+    root = pow(g, (p - 1) // order, p)
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [[2] * len(vertices) for _ in vertices]
+    for i, row in enumerate(rows):
+        row[i] = p - 1
+    for s, t, m in edges:
+        k = order // (2 * m)
+        rows[index[s]][index[t]] = rows[index[t]][index[s]] = (
+            pow(root, k, p) + pow(root, -k, p)
+        ) % p
+    rows = tuple(map(tuple, rows))
+    for basis in ((0,) * i + (1,) + (0,) * (len(rows) - 1 - i) for i in range(len(rows))):
+        for s in vertices:
+            if _act(p, rows, index, ((s, 1), (s, 1)), basis) != basis:
+                raise GraphError("COXETER_IMAGE", f"sigma_{s} does not square to 1 mod {p}")
+        for s, t, m in edges:
+            if _act(p, rows, index, delta_word(m, (s, t)), basis) != _act(
+                p, rows, index, delta_word(m, (t, s)), basis
+            ):
+                raise GraphError("COXETER_IMAGE", f"braid relation {s}{t} fails mod {p}")
+    return p, rows, index
+
+
+def _act(p: int, rows, index: dict, word: Word, x) -> tuple[int, ...]:
+    """pi(word) . x mod p: the letters act right to left, each as its
+    reflection, whatever its sign."""
+    x = list(x)
+    for name, _ in reversed(word):
+        i = index[name]
+        x[i] = sum(map(mul, rows[i], x)) % p
+    return tuple(x)
+
+
 def _cancels(x, y) -> bool:
     return x[0] == y[0] and x[1] == -y[1]
 
@@ -130,6 +232,7 @@ class _OracleContext:
     """What the oracle derives from one graph, and the memos it fills."""
 
     def __init__(self, graph: DefiningGraph):
+        self.vertices = graph.vertices
         self.edges = graph.edge_list
         # (x, y) -> (sorted pair, m) for both orders of every finite edge
         self.pairs: dict[tuple[str, str], tuple[tuple[str, str], int]] = {}
@@ -143,6 +246,7 @@ class _OracleContext:
         self.spellings: dict[Word, Word] = {}  # two-name run -> canonical spelling
         self.canonical: dict[Word, Word] = {}  # reduced word -> canonical_form
         self.successors: dict[tuple[Word, int], tuple] = {}  # (state, max_len) -> moves
+        self.orbits: dict[frozenset, frozenset] = {}  # finite parabolic -> orbit of the probe
 
     @cached_property
     def patterns(self):
@@ -150,6 +254,37 @@ class _OracleContext:
         for m = 10 they take milliseconds, and two-generator questions never
         search."""
         return _patterns(self.edges)
+
+    @cached_property
+    def coxeter(self):
+        """(p, rows, index, probe): the self-checked Coxeter image of
+        _coxeter_image, built when a question first reaches it (two-generator
+        words never do), and a fixed probe vector with no structure the
+        reflections could respect."""
+        p, rows, index = _coxeter_image(self.vertices, self.edges)
+        return p, rows, index, tuple(pow(7, 1 + 11 * i, p) for i in range(len(rows)))
+
+    def image(self, word: Word, start: tuple[int, ...] | None = None) -> tuple[int, ...]:
+        """pi(word) . start mod p, start defaulting to the probe."""
+        p, rows, index, probe = self.coxeter
+        return _act(p, rows, index, word, probe if start is None else start)
+
+    def orbit(self, gens: frozenset) -> frozenset:
+        """The orbit of the probe under the standard parabolic W_gens, which
+        must be finite; memoised per generating set."""
+        hit = self.orbits.get(gens)
+        if hit is None:
+            todo = [self.image(())]
+            hit = set(todo)
+            while todo:
+                y = todo.pop()
+                for s in gens:
+                    z = self.image(((s, 1),), y)
+                    if z not in hit:
+                        hit.add(z)
+                        todo.append(z)
+            hit = self.orbits[gens] = frozenset(hit)
+        return hit
 
     def abelianization(self, word: Word) -> tuple[int, ...]:
         """Exponent sums per odd component, as words.abelianization_vector."""
@@ -429,6 +564,9 @@ def word_equal(
     names = support(u) | support(v)
     if len(names) <= 2:
         return _dihedral_compare(graph, u, v, names)
+    iu, iv = ctx.image(u), ctx.image(v)
+    if iu != iv:
+        return _not_equal("coxeter", (ctx.coxeter[0], iu, iv))
     cu, cv = canonical_form(graph, u), canonical_form(graph, v)
     if cu == cv:
         return _equal("canonical", (cu,))
@@ -464,9 +602,11 @@ def member_of_parabolic(
 ) -> MembershipResult:
     """Budgeted test whether the word lies in the standard parabolic on gens.
 
-    MEMBER comes with a rewriting of the word in the subgroup's generators;
-    NOT_MEMBER only from the abelianization obstruction.  The search shares
-    the canonical-form machinery of word_equal.
+    MEMBER comes with a rewriting of the word in the subgroup's generators.
+    NOT_MEMBER comes from the abelianization obstruction or, when W_gens is
+    finite (at most two generators, adjacent if two), from a Coxeter image
+    outside the probe's W_gens-orbit.  The search shares the canonical-form
+    machinery of word_equal.
     """
     gens = frozenset(gens)
     word = canonical_form(graph, free_reduce(word))
@@ -479,6 +619,10 @@ def member_of_parabolic(
             return MembershipResult(
                 "NOT_MEMBER", None, ("abelianization", i, vec[i])
             )
+    if len(gens) < 2 or len(gens) == 2 and graph.has_edge(*gens):
+        image = ctx.image(word)
+        if image not in ctx.orbit(gens):
+            return MembershipResult("NOT_MEMBER", None, ("coxeter", ctx.coxeter[0], image))
     max_len = len(word) + (slack if slack is not None else 2 * ctx.max_m)
     seen: dict[Word, tuple] = {word: None}
     queue: deque[Word] = deque([word])

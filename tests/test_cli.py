@@ -161,6 +161,14 @@ def test_oracle_eq(capsys):
     assert out.startswith("EQUAL")
 
 
+def test_oracle_eq_coxeter_refutation(capsys):
+    # a b c and a c b have the same height and abelianization; their images
+    # in the Coxeter group differ, so the verdict is definite and --strict passes
+    code, out = run(capsys, ["oracle", "eq", "--graph-text", TRI, "a b c", "a c b", "--strict"])
+    assert code == 0
+    assert out.splitlines()[0] == "NOT_EQUAL (coxeter, 0 expansions)"
+
+
 def test_strict_exit_code(capsys):
     code, out = run(
         capsys,

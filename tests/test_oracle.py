@@ -96,10 +96,15 @@ def test_rewrite_trace_replays(triangle):
 
 
 def test_unknown_is_a_value(triangle):
-    # deep equality question with no budget: honest UNKNOWN, no guess
+    # (abc)^2 commutes with b and abc but not with a: the Coxeter images differ
     u = mul(parse_word("a b c a b c"), parse_word("a"), inv(parse_word("a b c a b c")))
     verdict = word_equal(triangle, u, parse_word("a"), budget=1)
-    assert verdict.status in ("UNKNOWN", "EQUAL")
+    assert verdict.status == "NOT_EQUAL" and verdict.method == "coxeter"
+    # squares die in the Coxeter group, so a question inside ker(A -> W)
+    # that the search cannot settle stays an honest UNKNOWN, no guess
+    u, v = parse_word("a^2 b^2 c^2"), parse_word("c^2 b^2 a^2")
+    verdict = word_equal(triangle, u, v, budget=50)
+    assert verdict.status == "UNKNOWN" and verdict.expansions
 
 
 def test_symmetry_and_reflexivity(triangle):
@@ -165,7 +170,22 @@ def test_membership(triangle):
     assert res.status == "MEMBER"
     assert set(n for n, _ in res.rewritten) <= {"a", "b"}
     res = member_of_parabolic(triangle, parse_word("c"), {"a", "b"}, budget=50)
-    assert res.status == "UNKNOWN"  # honestly undecided at this budget
+    assert res.status == "NOT_MEMBER"  # the reflection of c is not in W_ab
+    assert res.certificate[0] == "coxeter"
+
+
+def test_coxeter_image_checks_itself(monkeypatch):
+    # a root of the wrong order breaks the braid relations mod p; the image
+    # must refuse to be built with a coded error instead of giving verdicts
+    from artinfix import oracle
+    from artinfix.presentation import validate_graph
+    from artinfix.words import GraphError
+
+    graph = validate_graph([("a", "b", 3), ("a", "c", 4), ("b", "c", 5)])
+    monkeypatch.setattr(oracle, "lcm", lambda *labels: 1)
+    with pytest.raises(GraphError) as err:
+        word_equal(graph, parse_word("a b c"), parse_word("a c b"))
+    assert err.value.code == "COXETER_IMAGE"
 
 
 def test_membership_abelianization_refutation(mixed334):

@@ -18,8 +18,8 @@ from artinfix.dihedral import (
     nf_key,
     subgroup_ball,
 )
-from artinfix.oracle import word_equal
-from artinfix.presentation import graph_automorphisms, validate_graph
+from artinfix.oracle import _context, member_of_parabolic, word_equal
+from artinfix.presentation import build_graph, graph_automorphisms, validate_graph
 from artinfix.words import ArtinAutomorphism, free_reduce, inv, mul, power
 
 MS = (3, 4, 5, 6, 7, 8, 10)
@@ -33,9 +33,9 @@ def bounded(max_examples):
     return settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)
 
 
-def words(names=("a", "b"), max_size=8):
+def words(names=("a", "b"), max_size=8, min_size=0):
     letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
-    return st.lists(letter, max_size=max_size).map(tuple)
+    return st.lists(letter, min_size=min_size, max_size=max_size).map(tuple)
 
 
 def _tree_form(m, word):
@@ -146,3 +146,92 @@ def test_compose_inverse_iterate_match_direct_application(case):
     for _ in range(abs(k)):
         image = step(image)
     assert f.iterate(k)(w) == image
+
+
+@st.composite
+def large_type_graphs(draw):
+    """Three to five vertices, each pair an edge with m in 3..10 or no edge."""
+    names = ("a", "b", "c", "d", "e")[: draw(st.integers(3, 5))]
+    edges = []
+    for i, s in enumerate(names):
+        for t in names[i + 1 :]:
+            m = draw(st.sampled_from((3, 4, 5, 6, 7, 8, 9, 10, None)))
+            if m is not None:
+                edges.append((s, t, m))
+    return build_graph(edges, extra_vertices=names)
+
+
+@st.composite
+def spliced(draw, graph, word):
+    """word with conjugated braid relators or cancelling pairs spliced in,
+    one after the other (a later splice may land inside an earlier one)."""
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(("relator", "cancel") if graph.edge_list else ("cancel",)))
+        if how == "relator":
+            s, t, m = draw(st.sampled_from(graph.edge_list))
+            insert = mul(delta_word(m, (s, t)), inv(delta_word(m, (t, s))))
+        else:
+            x = draw(st.sampled_from(graph.vertices))
+            insert = ((x, 1), (x, -1))
+        g = draw(words(graph.vertices, max_size=5))
+        cut = draw(st.integers(0, len(word)))
+        word = word[:cut] + g + insert + inv(g) + word[cut:]
+    return free_reduce(word)
+
+
+@st.composite
+def equal_pairs(draw, graph):
+    """(u, v): two spellings of one element of A(graph).  u = x Delta_st y and
+    v swaps in Delta_ts, a move the syllables of canonical_form need not line
+    up with; then v gets relators or cancelling pairs spliced in."""
+    x, y = draw(words(graph.vertices)), draw(words(graph.vertices))
+    u = v = x + y
+    if graph.edge_list:
+        s, t, m = draw(st.sampled_from(graph.edge_list))
+        u, v = x + delta_word(m, (s, t)) + y, x + delta_word(m, (t, s)) + y
+    return free_reduce(u), draw(spliced(graph, v))
+
+
+@st.composite
+def respelled_words(draw):
+    graph = draw(large_type_graphs())
+    return (graph, *draw(equal_pairs(graph)))
+
+
+@bounded(150)
+@given(respelled_words())
+def test_equal_words_are_never_separated(case):
+    # NOT_EQUAL comes only from invariants (height, abelianization, the
+    # Coxeter image), and none may separate two spellings of one element
+    graph, u, v = case
+    assert _context(graph).image(u) == _context(graph).image(v)
+    verdict = word_equal(graph, u, v, budget=0)
+    event(verdict.method)
+    assert not verdict.is_not_equal, verdict
+
+
+@st.composite
+def parabolic_words(draw):
+    """(graph, gens, w): w is a word h over gens with u v^-1 = 1 spliced in,
+    for an equal pair (u, v); gens is an edge, or one vertex when the graph
+    has none."""
+    graph = draw(large_type_graphs())
+    if graph.edge_list:
+        gens = draw(st.sampled_from(graph.edge_list))[:2]
+    else:
+        gens = (draw(st.sampled_from(graph.vertices)),)
+    h = draw(words(gens))
+    u, v = draw(equal_pairs(graph))
+    cut = draw(st.integers(0, len(h)))
+    return graph, set(gens), free_reduce(h[:cut] + u + inv(v) + h[cut:])
+
+
+@bounded(150)
+@given(parabolic_words())
+def test_parabolic_words_are_never_refuted(case):
+    graph, gens, w = case
+    # canonical_form settles most of these first, so check the image too
+    assert _context(graph).image(w) in _context(graph).orbit(frozenset(gens))
+    res = member_of_parabolic(graph, w, gens, budget=0)
+    event(res.status)
+    assert res.status != "NOT_MEMBER", res
