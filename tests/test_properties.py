@@ -1,4 +1,5 @@
-"""Property tests of the exact two-generator backends and of automorphism algebra.
+"""Property tests of the exact two-generator backends, of automorphism algebra
+and of the oracle's separating invariants on random large-type graphs.
 
 Hypothesis runs derandomised with a bounded number of examples, so every run
 checks the same cases.
@@ -33,9 +34,9 @@ def bounded(max_examples):
     return settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)
 
 
-def words(names=("a", "b"), max_size=8, min_size=0):
+def words(names=("a", "b"), max_size=8):
     letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
-    return st.lists(letter, min_size=min_size, max_size=max_size).map(tuple)
+    return st.lists(letter, max_size=max_size).map(tuple)
 
 
 def _tree_form(m, word):
